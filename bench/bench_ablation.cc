@@ -35,13 +35,13 @@ SubTpiin WholeAsSubTpiin(const Tpiin& net) {
   sub.parent = &net;
   sub.global_of_local.resize(net.NumNodes());
   for (NodeId v = 0; v < net.NumNodes(); ++v) sub.global_of_local[v] = v;
-  sub.graph.AddNodes(net.NumNodes());
+  ArcList arcs{net.NumNodes(), {}};
   sub.global_arc_of_local.resize(net.NumArcs());
   for (ArcId id = 0; id < net.NumArcs(); ++id) {
-    const Arc arc = net.arc(id);
-    sub.graph.AddArc(arc.src, arc.dst, arc.color);
+    arcs.arcs.push_back(net.arc(id));
     sub.global_arc_of_local[id] = id;
   }
+  sub.frozen = FrozenGraph(arcs, kArcInfluence);
   sub.num_influence_arcs = net.num_influence_arcs();
   return sub;
 }
@@ -197,8 +197,8 @@ int Run(BenchJsonWriter& json, BenchNetSource& source) {
     size_t total_arcs = 0;
     size_t largest_arcs = 0;
     for (const SubTpiin& sub : subs) {
-      total_arcs += sub.graph.NumArcs();
-      largest_arcs = std::max<size_t>(largest_arcs, sub.graph.NumArcs());
+      total_arcs += sub.frozen.NumArcs();
+      largest_arcs = std::max<size_t>(largest_arcs, sub.frozen.NumArcs());
     }
     std::printf(
         "A5 parallelism bound: largest subTPIIN holds %.1f%% of the "

@@ -90,20 +90,21 @@ int Run(BenchJsonWriter& json, BenchNetSource& source) {
       "(paper: 2452)\n\n",
       data.persons().size(), acting_lps, data.companies().size());
 
-  Digraph g1 = BuildInterdependenceGraph(data);
-  PrintStats("Fig.11", "G1 interdependence", ComputeDegreeStats(g1));
+  ArcList g1 = BuildInterdependenceGraph(data);
+  PrintStats("Fig.11", "G1 interdependence",
+             ComputeDegreeStats(FrozenGraph(g1)));
   size_t kinship = 0;
   size_t interlocking = 0;
-  for (const Arc& arc : g1.arcs()) {
+  for (const Arc& arc : g1.arcs) {
     (arc.color == kLayerKinship ? kinship : interlocking) += 1;
   }
   std::printf("         (kinship edges=%zu, interlocking edges=%zu)\n",
               kinship, interlocking);
 
-  Digraph g2 = BuildInfluenceLayerGraph(data);
-  PrintStats("Fig.12", "G2 influence", ComputeDegreeStats(g2));
+  PrintStats("Fig.12", "G2 influence",
+             ComputeDegreeStats(FrozenGraph(BuildInfluenceLayerGraph(data))));
 
-  Digraph g3 = BuildInvestmentGraph(data);
+  const FrozenGraph g3(BuildInvestmentGraph(data));
   PrintStats("Fig.13", "G3 investment", ComputeDegreeStats(g3));
   SccResult scc = StronglyConnectedComponents(g3);
   std::printf(
@@ -121,8 +122,8 @@ int Run(BenchJsonWriter& json, BenchNetSource& source) {
 
   PrintFig14(net);
 
-  Digraph g4 = BuildTradingGraph(data);
-  PrintStats("Fig.15", "G4 trading (p=0.002)", ComputeDegreeStats(g4));
+  PrintStats("Fig.15", "G4 trading (p=0.002)",
+             ComputeDegreeStats(FrozenGraph(BuildTradingGraph(data))));
 
   PrintFig16(json, net);
   std::printf("         (TPIIN nodes=%u: %zu person/syndicate + %zu "

@@ -159,8 +159,10 @@ Status ApplyFailpointsFlag(std::vector<std::string>& args) {
 }
 
 // Shared --report / --trace-out handling for the pipeline commands.
-// Construct after FlagParser::Parse; Begin() resets the run-wide metrics
-// and installs the trace recorder, Finish() writes both artifacts.
+// Construct after FlagParser::Parse; Begin() resets the run-wide metrics,
+// installs the trace recorder and starts the command's wall clock;
+// Finish() stamps the report's total_seconds from that clock and writes
+// both artifacts.
 class ObsOutputs {
  public:
   explicit ObsOutputs(const FlagParser& flags)
@@ -168,6 +170,7 @@ class ObsOutputs {
         trace_path_(flags.GetString("trace-out")) {}
 
   void Begin() {
+    timer_.Restart();
     if (!report_path_.empty()) MetricsRegistry::Global().Reset();
     if (!trace_path_.empty()) {
       recorder_ = std::make_unique<TraceRecorder>();
@@ -179,6 +182,7 @@ class ObsOutputs {
 
   /// Writes the trace and the report (the caller fills `report` first).
   Status Finish(RunReport* report, std::ostream& out) {
+    report->set_total_seconds(timer_.ElapsedSeconds());
     if (recorder_ != nullptr) {
       TraceRecorder::Uninstall();
       if (!recorder_->WriteChromeTrace(trace_path_)) {
@@ -200,6 +204,7 @@ class ObsOutputs {
   std::string report_path_;
   std::string trace_path_;
   std::unique_ptr<TraceRecorder> recorder_;
+  WallTimer timer_;
 };
 
 // Network input shared by every mining command: --net=FILE parses a

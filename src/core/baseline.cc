@@ -15,10 +15,9 @@ namespace {
 // trading arc to a path end (Lemma 1).
 //
 // Walks the frozen CSR view: the DFS descends over each node's
-// influence span and trail termination sweeps its trading span. Both
-// spans preserve the Digraph's per-node insertion order, so the
-// enumeration (and every group derived from it) is identical to the
-// old adjacency-list walk that filtered arcs by color.
+// influence span and trail termination sweeps its trading span, each in
+// ascending arc id. This global walk shares no code with the per-
+// subTPIIN Algorithm 2 driver, which is what makes it an oracle for it.
 struct Enumeration {
   std::vector<std::vector<NodeId>> paths;  // Influence-only paths.
   // (path index, buyer node) pairs: the trail paths[i] plus the trading

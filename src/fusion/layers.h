@@ -1,11 +1,14 @@
 #ifndef TPIIN_FUSION_LAYERS_H_
 #define TPIIN_FUSION_LAYERS_H_
 
-#include "graph/digraph.h"
+#include "graph/types.h"
 #include "model/dataset.h"
 
 namespace tpiin {
 
+/// The layer builders below return arc lists: arc ids follow record order
+/// after deduplication, and endpoints come from a validated dataset.
+///
 /// Arc colors used inside the homogeneous layer graphs (before fusion
 /// collapses everything to Influence/Trading). Values are arbitrary but
 /// stable — exporters key legends off them.
@@ -20,20 +23,20 @@ inline constexpr ArcColor kLayerTrading = 14;       // black arcs (Fig. 15)
 /// and an interlocking record exist for a pair, only the first is kept —
 /// the fusion contraction is insensitive to which). Stored as a single
 /// directed arc a->b with a < b.
-Digraph BuildInterdependenceGraph(const RawDataset& dataset);
+ArcList BuildInterdependenceGraph(const RawDataset& dataset);
 
 /// G2, the influence bipartite graph (§4.1): nodes [0, P) are persons,
 /// [P, P + C) are companies; arcs run person -> company. Duplicate
 /// (person, company) records collapse to one arc.
-Digraph BuildInfluenceLayerGraph(const RawDataset& dataset);
+ArcList BuildInfluenceLayerGraph(const RawDataset& dataset);
 
 /// GI (G3 in the experiment figures), the investment graph: one node per
 /// company, deduplicated investor -> investee arcs.
-Digraph BuildInvestmentGraph(const RawDataset& dataset);
+ArcList BuildInvestmentGraph(const RawDataset& dataset);
 
 /// G4, the trading graph: one node per company, deduplicated
 /// seller -> buyer arcs.
-Digraph BuildTradingGraph(const RawDataset& dataset);
+ArcList BuildTradingGraph(const RawDataset& dataset);
 
 }  // namespace tpiin
 

@@ -89,10 +89,10 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
   // depend on one layer — run as concurrent tasks. Every task writes to
   // its own slots; all stats are derived serially afterwards, so the
   // output is identical at any thread count.
-  Digraph g1;
+  ArcList g1;
   std::vector<NodeId> person_component;
   NodeId num_person_nodes = 0;
-  Digraph gi;
+  ArcList gi;
   SccResult scc;
   std::vector<double> influence_weight(dataset.influence().size());
   std::unordered_map<NodeId, std::vector<InvestmentArc>> internal_of_component;
@@ -106,7 +106,7 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
       [&]() -> Status {
         TPIIN_FAILPOINT("fusion.layer.g1");
         g1 = BuildInterdependenceGraph(dataset);
-        UnionFind person_uf = UnionArcs(num_persons, g1.arcs(), threads);
+        UnionFind person_uf = UnionArcs(num_persons, g1.arcs, threads);
         person_component = person_uf.DenseComponentIds();
         num_person_nodes = person_uf.NumSets();
         return Status::OK();
@@ -129,7 +129,7 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
         for (NodeId comp : scc.nontrivial_components) {
           internal_of_component.emplace(comp, std::vector<InvestmentArc>());
         }
-        for (const Arc& arc : gi.arcs()) {
+        for (const Arc& arc : gi.arcs) {
           NodeId comp = scc.component_of[arc.src];
           if (comp != scc.component_of[arc.dst]) continue;
           auto it = internal_of_component.find(comp);

@@ -5,6 +5,7 @@
 #include <functional>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "graph/topo.h"
 
@@ -20,17 +21,12 @@ std::string_view NodeColorName(NodeColor color) {
   return "unknown";
 }
 
-const Digraph& Tpiin::graph() const {
-  TPIIN_CHECK(has_graph_)
-      << "snapshot-backed TPIIN carries no Digraph; use frozen()/arc()";
-  return graph_;
-}
-
 std::vector<std::array<uint32_t, 3>> Tpiin::ToEdgeList() const {
   std::vector<std::array<uint32_t, 3>> rows;
-  rows.reserve(frozen_.NumArcs());
-  for (const Arc& arc : frozen_.ArcsInIdOrder(kArcTrading)) {
-    rows.push_back({arc.src, arc.dst, static_cast<uint32_t>(arc.color)});
+  rows.reserve(NumArcs());
+  for (ArcId id = 0; id < NumArcs(); ++id) {
+    const Arc a = arc(id);
+    rows.push_back({a.src, a.dst, static_cast<uint32_t>(a.color)});
   }
   return rows;
 }
@@ -42,7 +38,7 @@ TpiinBuilder::TpiinBuilder() {
 }
 
 NodeId TpiinBuilder::AddNode(NodeColor color, std::string_view label) {
-  NodeId id = net_.graph_.AddNode();
+  NodeId id = arcs_.num_nodes++;
   net_.node_color_.vec().push_back(color);
   std::vector<char>& bytes = net_.label_bytes_.vec();
   bytes.insert(bytes.end(), label.begin(), label.end());
@@ -78,9 +74,20 @@ ArcId TpiinBuilder::LookupOrInsertArcKey(NodeId src, NodeId dst,
   uint64_t key = (static_cast<uint64_t>(src) << 33) |
                  (static_cast<uint64_t>(dst) << 1) |
                  static_cast<uint64_t>(color & 1);
-  ArcId next_id = net_.graph_.NumArcs();
+  ArcId next_id = arcs_.NumArcs();
   auto [it, inserted] = seen_arc_keys_.emplace(key, next_id);
   return inserted ? kInvalidArc : it->second;
+}
+
+bool TpiinBuilder::EndpointsExist(NodeId src, NodeId dst, ArcColor color) {
+  if (src < arcs_.num_nodes && dst < arcs_.num_nodes) return true;
+  if (bad_arc_.ok()) {
+    bad_arc_ = Status::InvalidArgument(StringPrintf(
+        "%s arc %u -> %u names a node that does not exist (%u nodes)",
+        color == kArcInfluence ? "influence" : "trading", src, dst,
+        arcs_.num_nodes));
+  }
+  return false;
 }
 
 void TpiinBuilder::AddInfluenceArc(NodeId from, NodeId to, double weight) {
@@ -88,6 +95,7 @@ void TpiinBuilder::AddInfluenceArc(NodeId from, NodeId to, double weight) {
     failed_ordering_ = true;
     return;
   }
+  if (!EndpointsExist(from, to, kArcInfluence)) return;
   ArcId existing = LookupOrInsertArcKey(from, to, kArcInfluence);
   std::vector<double>& weights = net_.arc_weight_.vec();
   if (existing != kInvalidArc) {
@@ -95,17 +103,18 @@ void TpiinBuilder::AddInfluenceArc(NodeId from, NodeId to, double weight) {
     weights[existing] = std::max(weights[existing], weight);
     return;
   }
-  net_.graph_.AddArc(from, to, kArcInfluence);
+  arcs_.arcs.push_back(Arc{from, to, kArcInfluence});
   weights.push_back(weight);
   ++net_.num_influence_arcs_;
 }
 
 void TpiinBuilder::AddTradingArc(NodeId seller, NodeId buyer) {
   saw_trading_arc_ = true;
-  if (LookupOrInsertArcKey(seller, buyer, kArcTrading) != kInvalidArc) {
+  if (!EndpointsExist(seller, buyer, kArcTrading) ||
+      LookupOrInsertArcKey(seller, buyer, kArcTrading) != kInvalidArc) {
     return;
   }
-  net_.graph_.AddArc(seller, buyer, kArcTrading);
+  arcs_.arcs.push_back(Arc{seller, buyer, kArcTrading});
   net_.arc_weight_.vec().push_back(1.0);
 }
 
@@ -132,6 +141,9 @@ Result<Tpiin> TpiinBuilder::Build(uint32_t num_threads) {
     return Status::FailedPrecondition(
         "influence arcs must all precede trading arcs");
   }
+  // The CSR build below indexes per-node arrays by endpoint, so a bad
+  // endpoint must never reach it.
+  TPIIN_RETURN_IF_ERROR(bad_arc_);
 
   // Flatten the per-node investment stash into its CSR columns, then
   // seal every column: from here on the network is read-only and all
@@ -158,26 +170,34 @@ Result<Tpiin> TpiinBuilder::Build(uint32_t num_threads) {
   net_.arc_weight_.Seal();
   net_.intra_syndicate_trades_.Seal();
 
-  const Digraph& g = net_.graph_;
-
-  // The three finalization passes only read the (now final) graph, so
-  // they run as concurrent tasks; the freeze is speculative and simply
-  // discarded if a validation task fails.
+  // The finalization passes only read the (now final) arc list, so they
+  // run as concurrent tasks; the freeze is speculative and simply
+  // discarded if validation fails.
   Status arc_status = Status::OK();
-  bool is_dag = true;
   const std::array<std::function<void()>, 3> passes = {
       [&] { arc_status = ValidateArcs(); },
-      // Property 1 rests on the antecedent network being a DAG.
-      [&] { is_dag = IsDag(g, IsInfluenceArc); },
-      // Freeze the CSR view once the graph is final; every
-      // traversal-heavy consumer (segmentation, WCC/SCC, incremental
-      // screening) reads it.
-      [&] { net_.frozen_ = FrozenGraph(g, kArcInfluence, num_threads); },
+      [&] {
+        std::vector<NodeId>& src = net_.arc_src_.vec();
+        std::vector<NodeId>& dst = net_.arc_dst_.vec();
+        src.reserve(arcs_.arcs.size());
+        dst.reserve(arcs_.arcs.size());
+        for (const Arc& arc : arcs_.arcs) {
+          src.push_back(arc.src);
+          dst.push_back(arc.dst);
+        }
+        net_.arc_src_.Seal();
+        net_.arc_dst_.Seal();
+      },
+      // Every traversal-heavy consumer (segmentation, WCC/SCC,
+      // incremental screening) reads the CSR view.
+      [&] { net_.frozen_ = FrozenGraph(arcs_, kArcInfluence, num_threads); },
   };
   ThreadPool::Global().RunTasks(passes, num_threads);
+  arcs_ = ArcList{};
 
   if (!arc_status.ok()) return arc_status;
-  if (!is_dag) {
+  // Property 1 rests on the antecedent network being a DAG.
+  if (!IsDag(net_.frozen_, FrozenArcClass::kInfluence)) {
     return Status::FailedPrecondition(
         "antecedent (influence) subgraph contains a directed cycle; run "
         "SCC contraction before building a TPIIN");
@@ -186,9 +206,7 @@ Result<Tpiin> TpiinBuilder::Build(uint32_t num_threads) {
 }
 
 Status TpiinBuilder::ValidateArcs() const {
-  const Digraph& g = net_.graph_;
-  for (ArcId id = 0; id < g.NumArcs(); ++id) {
-    const Arc& arc = g.arc(id);
+  for (const Arc& arc : arcs_.arcs) {
     if (IsInfluenceArc(arc)) {
       if (net_.color(arc.dst) != NodeColor::kCompany) {
         return Status::FailedPrecondition(

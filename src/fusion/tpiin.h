@@ -12,7 +12,6 @@
 
 #include "common/column.h"
 #include "common/result.h"
-#include "graph/digraph.h"
 #include "graph/frozen.h"
 #include "graph/types.h"
 #include "model/records.h"
@@ -78,7 +77,7 @@ struct TpiinNode {
 
 /// A trading record whose endpoints were merged into the same company
 /// syndicate. The arc would be a self-loop in the contracted graph, so it
-/// is kept out of the Digraph and reported here; the detector turns each
+/// is kept out of the arc list and reported here; the detector turns each
 /// into a suspicious trade with an intra-SCC proof chain.
 struct IntraSyndicateTrade {
   NodeId syndicate_node = kInvalidNode;
@@ -99,17 +98,6 @@ struct IntraSyndicateTrade {
 /// same API, zero per-node or per-arc work at open time.
 class Tpiin {
  public:
-  /// The mutable arc store. Only available on networks built in-process
-  /// (fusion, TpiinBuilder, edge-list ingest); snapshot-backed networks
-  /// carry the frozen CSR view and arc endpoint columns instead.
-  /// CHECK-fails when !has_graph() — algorithm code should prefer
-  /// frozen() and arc().
-  const Digraph& graph() const;
-
-  /// False for snapshot-backed networks, whose Digraph was dropped at
-  /// build time.
-  bool has_graph() const { return has_graph_; }
-
   /// Immutable CSR view, color-partitioned (influence arcs first per
   /// node); built once by TpiinBuilder::Build() or bound directly to the
   /// snapshot sections. The traversal hot paths read this instead of the
@@ -121,10 +109,9 @@ class Tpiin {
   }
   ArcId NumArcs() const { return frozen_.NumArcs(); }
 
-  /// Endpoints and color of an arc, addressable on every network: reads
-  /// the Digraph when present, the snapshot's endpoint columns when not.
+  /// Endpoints and color of an arc, read from the endpoint columns (owned
+  /// by fused networks, mapped from the file by snapshot-backed ones).
   Arc arc(ArcId id) const {
-    if (has_graph_) return graph_.arc(id);
     return Arc{arc_src_[id], arc_dst_[id],
                id < num_influence_arcs_ ? kArcInfluence : kArcTrading};
   }
@@ -188,8 +175,6 @@ class Tpiin {
   friend class TpiinBuilder;
   friend class SnapshotCodec;  // src/snapshot: serializes/binds columns.
 
-  Digraph graph_;
-  bool has_graph_ = true;
   FrozenGraph frozen_;
 
   // Columnar node store. Offsets columns have NumNodes()+1 entries.
@@ -209,18 +194,20 @@ class Tpiin {
   Col<NodeId> company_node_;
   Col<IntraSyndicateTrade> intra_syndicate_trades_;
 
-  // Snapshot-backed networks only: arc endpoints by arc id (the Digraph
-  // equivalent), and the segmentation index.
+  // Arc endpoints by arc id; the color follows from the id range.
   Col<NodeId> arc_src_;
   Col<NodeId> arc_dst_;
+  // Snapshot-backed networks only: the segmentation index.
   Col<NodeId> wcc_component_of_;
   NodeId wcc_num_components_ = kInvalidNode;
 };
 
 /// Constructs a Tpiin node by node. Used by the fusion pipeline and by
 /// tests/examples that specify small networks directly (e.g. the paper's
-/// Fig. 8 worked example). Influence arcs must all be added before the
-/// first trading arc; Build() enforces the invariants:
+/// Fig. 8 worked example). Arcs are staged in an ArcList and frozen once
+/// by Build(). Influence arcs must all be added before the first trading
+/// arc; Build() enforces the invariants:
+///  - every arc endpoint is an existing node;
 ///  - influence arcs end at Company nodes;
 ///  - trading arcs connect Company nodes;
 ///  - the influence (antecedent) subgraph is acyclic.
@@ -259,13 +246,15 @@ class TpiinBuilder {
 
   /// Arcs added so far (after deduplication); lets the fusion pipeline
   /// attribute arc counts to its stages.
-  ArcId NumArcsSoFar() const { return net_.graph_.NumArcs(); }
+  ArcId NumArcsSoFar() const { return arcs_.NumArcs(); }
 
-  /// Validates and returns the network; the builder is consumed. With
-  /// num_threads > 1 the three finalization passes — arc endpoint
-  /// validation, the antecedent DAG check, and the CSR freeze — run as
-  /// concurrent tasks on the shared ThreadPool (they only read the
-  /// graph); the returned network is identical at any thread count.
+  /// Validates and returns the network; the builder is consumed. An arc
+  /// with an endpoint that is not a node fails with InvalidArgument
+  /// naming the arc. With num_threads > 1 the arc color validation and
+  /// the CSR freeze run as concurrent tasks on the shared ThreadPool
+  /// (they only read the arc list); the antecedent DAG check then runs
+  /// on the frozen influence spans. The returned network is identical
+  /// at any thread count.
   Result<Tpiin> Build(uint32_t num_threads = 1);
 
  private:
@@ -273,9 +262,13 @@ class TpiinBuilder {
   /// kInvalidArc after registering it as new.
   ArcId LookupOrInsertArcKey(NodeId src, NodeId dst, ArcColor color);
 
+  /// True when both endpoints are existing nodes; otherwise remembers
+  /// the first offending arc for Build() to report.
+  bool EndpointsExist(NodeId src, NodeId dst, ArcColor color);
+
   NodeId AddNode(NodeColor color, std::string_view label);
 
-  /// Checks the per-arc endpoint invariants (influence ends at Company,
+  /// Checks the per-arc color invariants (influence ends at Company,
   /// trading connects Companies, no trading self-loops).
   Status ValidateArcs() const;
 
@@ -284,6 +277,9 @@ class TpiinBuilder {
   }
 
   Tpiin net_;
+  /// The network's arcs in id order until Build() freezes them.
+  ArcList arcs_;
+  Status bad_arc_ = Status::OK();
   /// Internal investments arrive per syndicate node in arbitrary order;
   /// Build() flattens them into the CSR columns.
   std::vector<std::vector<InvestmentArc>> staged_investments_;

@@ -8,112 +8,86 @@
 
 namespace tpiin {
 
-FrozenGraph::FrozenGraph(const Digraph& graph, ArcColor influence_color,
-                         uint32_t num_threads)
-    : num_nodes_(graph.NumNodes()),
-      num_arcs_(graph.NumArcs()),
-      influence_color_(influence_color) {
-  TPIIN_SPAN("freeze");
-  const std::array<std::function<void()>, 2> halves = {
-      [&] { BuildOut(graph); },
-      [&] { BuildIn(graph); },
-  };
-  ThreadPool::Global().RunTasks(halves, num_threads);
-}
+namespace {
 
-void FrozenGraph::BuildOut(const Digraph& graph) {
-  const NodeId n = num_nodes_;
-  const ArcId m = num_arcs_;
-  std::vector<ArcId>& out_offsets = out_offsets_.vec();
-  std::vector<ArcId>& out_influence_end = out_influence_end_.vec();
-  std::vector<NodeId>& out_targets = out_targets_.vec();
-  std::vector<ArcId>& out_arc_ids = out_arc_ids_.vec();
-  out_offsets.assign(n + 1, 0);
-  out_influence_end.assign(n, 0);
-  out_targets.resize(m);
-  out_arc_ids.resize(m);
+// Counting sort of the arcs by one endpoint (`key`): node v's run holds
+// its partition-color arcs, then the rest, each class in ascending arc
+// id; `other` is the neighbor stored for each slot. Returns the number of
+// partition-color arcs.
+template <typename KeyFn, typename OtherFn>
+ArcId BuildHalf(const ArcList& list, ArcColor influence_color,
+                const KeyFn& key, const OtherFn& other, Col<ArcId>& offsets_col,
+                Col<ArcId>& influence_end_col, Col<NodeId>& neighbors_col,
+                Col<ArcId>& arc_ids_col) {
+  const NodeId n = list.num_nodes;
+  const ArcId m = list.NumArcs();
+  std::vector<ArcId>& offsets = offsets_col.vec();
+  std::vector<ArcId>& influence_end = influence_end_col.vec();
+  std::vector<NodeId>& neighbors = neighbors_col.vec();
+  std::vector<ArcId>& arc_ids = arc_ids_col.vec();
+  offsets.assign(n + 1, 0);
+  influence_end.assign(n, 0);
+  neighbors.resize(m);
+  arc_ids.resize(m);
 
   // Counting pass: total degree into offsets[v + 1], influence degree
   // into influence_end (both turned into absolute positions below).
   ArcId influence_arcs = 0;
-  for (const Arc& arc : graph.arcs()) {
-    ++out_offsets[arc.src + 1];
-    if (arc.color == influence_color_) {
-      ++out_influence_end[arc.src];
+  for (const Arc& arc : list.arcs) {
+    ++offsets[key(arc) + 1];
+    if (arc.color == influence_color) {
+      ++influence_end[key(arc)];
       ++influence_arcs;
     }
   }
-  num_influence_arcs_ = influence_arcs;
   for (NodeId v = 0; v < n; ++v) {
-    out_offsets[v + 1] += out_offsets[v];
-    out_influence_end[v] += out_offsets[v];
+    offsets[v + 1] += offsets[v];
+    influence_end[v] += offsets[v];
   }
 
   // Placement pass. Two cursors per node: influence arcs fill
   // [offset, influence_end), the rest fills [influence_end, next offset).
-  // Out arcs are walked per node through the Digraph's own out lists so
-  // the per-node relative order (insertion order) is preserved exactly.
-  std::vector<ArcId> out_cursor(n), out_trading_cursor(n);
-  for (NodeId v = 0; v < n; ++v) {
-    out_cursor[v] = out_offsets[v];
-    out_trading_cursor[v] = out_influence_end[v];
+  // Walking the arcs in id order keeps each class ascending by id.
+  std::vector<ArcId> cursor(offsets.begin(), offsets.end() - 1);
+  std::vector<ArcId> trading_cursor(influence_end);
+  for (ArcId id = 0; id < m; ++id) {
+    const Arc& arc = list.arcs[id];
+    ArcId& slot = arc.color == influence_color ? cursor[key(arc)]
+                                               : trading_cursor[key(arc)];
+    neighbors[slot] = other(arc);
+    arc_ids[slot] = id;
+    ++slot;
   }
-  for (NodeId v = 0; v < n; ++v) {
-    for (ArcId id : graph.OutArcs(v)) {
-      const Arc& arc = graph.arc(id);
-      ArcId& cursor = arc.color == influence_color_ ? out_cursor[v]
-                                                    : out_trading_cursor[v];
-      out_targets[cursor] = arc.dst;
-      out_arc_ids[cursor] = id;
-      ++cursor;
-    }
-  }
-  out_offsets_.Seal();
-  out_influence_end_.Seal();
-  out_targets_.Seal();
-  out_arc_ids_.Seal();
+  offsets_col.Seal();
+  influence_end_col.Seal();
+  neighbors_col.Seal();
+  arc_ids_col.Seal();
+  return influence_arcs;
 }
 
-void FrozenGraph::BuildIn(const Digraph& graph) {
-  const NodeId n = num_nodes_;
-  const ArcId m = num_arcs_;
-  std::vector<ArcId>& in_offsets = in_offsets_.vec();
-  std::vector<ArcId>& in_influence_end = in_influence_end_.vec();
-  std::vector<NodeId>& in_sources = in_sources_.vec();
-  std::vector<ArcId>& in_arc_ids = in_arc_ids_.vec();
-  in_offsets.assign(n + 1, 0);
-  in_influence_end.assign(n, 0);
-  in_sources.resize(m);
-  in_arc_ids.resize(m);
+NodeId SrcOf(const Arc& arc) { return arc.src; }
+NodeId DstOf(const Arc& arc) { return arc.dst; }
 
-  for (const Arc& arc : graph.arcs()) {
-    ++in_offsets[arc.dst + 1];
-    if (arc.color == influence_color_) ++in_influence_end[arc.dst];
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    in_offsets[v + 1] += in_offsets[v];
-    in_influence_end[v] += in_offsets[v];
-  }
+}  // namespace
 
-  // In arcs are walked in arc-id order, which is ascending per class.
-  std::vector<ArcId> in_cursor(n), in_trading_cursor(n);
-  for (NodeId v = 0; v < n; ++v) {
-    in_cursor[v] = in_offsets[v];
-    in_trading_cursor[v] = in_influence_end[v];
-  }
-  for (ArcId id = 0; id < m; ++id) {
-    const Arc& arc = graph.arc(id);
-    ArcId& cursor = arc.color == influence_color_
-                        ? in_cursor[arc.dst]
-                        : in_trading_cursor[arc.dst];
-    in_sources[cursor] = arc.src;
-    in_arc_ids[cursor] = id;
-    ++cursor;
-  }
-  in_offsets_.Seal();
-  in_influence_end_.Seal();
-  in_sources_.Seal();
-  in_arc_ids_.Seal();
+FrozenGraph::FrozenGraph(const ArcList& arcs, ArcColor influence_color,
+                         uint32_t num_threads)
+    : num_nodes_(arcs.num_nodes),
+      num_arcs_(arcs.NumArcs()),
+      influence_color_(influence_color) {
+  TPIIN_SPAN("freeze");
+  const std::array<std::function<void()>, 2> halves = {
+      [&] {
+        num_influence_arcs_ =
+            BuildHalf(arcs, influence_color_, SrcOf, DstOf, out_offsets_,
+                      out_influence_end_, out_targets_, out_arc_ids_);
+      },
+      [&] {
+        BuildHalf(arcs, influence_color_, DstOf, SrcOf, in_offsets_,
+                  in_influence_end_, in_sources_, in_arc_ids_);
+      },
+  };
+  ThreadPool::Global().RunTasks(halves, num_threads);
 }
 
 FrozenGraph::Parts FrozenGraph::parts() const {
@@ -150,22 +124,6 @@ FrozenGraph FrozenGraph::FromParts(NodeId num_nodes, ArcId num_arcs,
   graph.in_arc_ids_.BindView(parts.in_arc_ids.data(),
                              parts.in_arc_ids.size());
   return graph;
-}
-
-std::vector<Arc> FrozenGraph::ArcsInIdOrder(ArcColor other_color) const {
-  std::vector<Arc> arcs(num_arcs_);
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    const AdjSpan influence = InfluenceOut(v);
-    for (size_t i = 0; i < influence.size(); ++i) {
-      arcs[influence.arcs[i]] =
-          Arc{v, influence.nodes[i], influence_color_};
-    }
-    const AdjSpan trading = TradingOut(v);
-    for (size_t i = 0; i < trading.size(); ++i) {
-      arcs[trading.arcs[i]] = Arc{v, trading.nodes[i], other_color};
-    }
-  }
-  return arcs;
 }
 
 }  // namespace tpiin

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 namespace tpiin {
 
@@ -30,6 +31,18 @@ struct Arc {
   ArcColor color = 0;
 
   friend bool operator==(const Arc&, const Arc&) = default;
+};
+
+/// The build-time form of a graph: a node count and its arcs, where an
+/// arc's id is its index. There is no adjacency; FrozenGraph turns the
+/// list into the CSR view every algorithm reads. Parallel arcs and
+/// self-loops are allowed. Endpoints must be < num_nodes, which whoever
+/// fills the list checks.
+struct ArcList {
+  NodeId num_nodes = 0;
+  std::vector<Arc> arcs;
+
+  ArcId NumArcs() const { return static_cast<ArcId>(arcs.size()); }
 };
 
 }  // namespace tpiin

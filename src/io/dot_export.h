@@ -6,8 +6,7 @@
 
 #include "common/status.h"
 #include "fusion/tpiin.h"
-#include "graph/digraph.h"
-#include "graph/frozen.h"
+#include "graph/types.h"
 
 namespace tpiin {
 
@@ -17,19 +16,9 @@ namespace tpiin {
 std::string TpiinToDot(const Tpiin& net, const std::string& graph_name);
 
 /// Renders a homogeneous layer graph (G1/G2/GI/G4) with per-color edge
-/// styling; `labels` supplies node captions (empty -> node indices).
-/// The graph may use at most two arc colors (the CSR partition limit);
-/// every layer graph does — G1 has kinship + interlocking, the others a
-/// single color.
-std::string LayerToDot(const Digraph& graph,
-                       const std::vector<std::string>& labels,
-                       const std::string& graph_name);
-
-/// CSR-view variant: arcs are reconstructed in id order from the frozen
-/// out spans (partition-color arcs render as `graph.influence_color()`,
-/// the rest as `other_color`), so the DOT output is byte-identical to
-/// the Digraph overload above.
-std::string LayerToDot(const FrozenGraph& graph, ArcColor other_color,
+/// styling, one edge line per arc in id order; `labels` supplies node
+/// captions (empty -> node indices).
+std::string LayerToDot(const ArcList& graph,
                        const std::vector<std::string>& labels,
                        const std::string& graph_name);
 

@@ -52,13 +52,13 @@ std::string TpiinToGexf(const Tpiin& net) {
         v, XmlEscape(node.label).c_str(), is_company ? 255 : 0);
   }
   out += "    </nodes>\n    <edges>\n";
-  ArcId edge_id = 0;
-  for (const Arc& arc : net.frozen().ArcsInIdOrder(kArcTrading)) {
+  for (ArcId edge_id = 0; edge_id < net.NumArcs(); ++edge_id) {
+    const Arc arc = net.arc(edge_id);
     out += StringPrintf(
         "      <edge id=\"%u\" source=\"%u\" target=\"%u\">"
         "<attvalues><attvalue for=\"0\" value=\"%s\"/></attvalues>"
         "</edge>\n",
-        edge_id++, arc.src, arc.dst,
+        edge_id, arc.src, arc.dst,
         IsInfluenceArc(arc) ? "influence" : "trading");
   }
   out += "    </edges>\n  </graph>\n</gexf>\n";

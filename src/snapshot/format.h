@@ -60,7 +60,7 @@ enum class SectionId : uint32_t {
   kCompanyMembers = 16,
   kInternalInvestmentOffsets = 17,
   kInternalInvestments = 18,
-  // Arc attribute columns. src/dst substitute for the dropped Digraph.
+  // Arc attribute columns: weight and endpoints by arc id.
   kArcWeight = 19,
   kArcSrc = 20,
   kArcDst = 21,

@@ -384,7 +384,6 @@ void SnapshotCodec::Bind(const unsigned char* base,
       static_cast<ArcId>(meta.num_arcs),
       static_cast<ArcId>(meta.num_influence_arcs), meta.influence_color,
       parts);
-  out->has_graph_ = false;
   out->num_influence_arcs_ = static_cast<ArcId>(meta.num_influence_arcs);
 
   auto bind = [&](auto& col, SectionId id) {

@@ -39,9 +39,8 @@ struct SnapshotOpenOptions {
 /// no per-node or per-arc work, no allocation proportional to the graph.
 ///
 /// The view owns the mapping; `net()` and everything derived from it
-/// (spans, labels, AdjSpans) die with the view. net().has_graph() is
-/// false — algorithm code reads frozen() and arc(), which the detection
-/// stack does throughout.
+/// (spans, labels, AdjSpans) die with the view. The network is the same
+/// type a fused one is, with the same accessors.
 class SnapshotView {
  public:
   static Result<std::unique_ptr<SnapshotView>> Open(

@@ -42,24 +42,8 @@ Status SnapshotCodec::Write(const Tpiin& net, const std::string& path,
   const uint64_t n = net.NumNodes();
   const uint64_t m = net.NumArcs();
 
-  // Arc endpoint columns substitute for the Digraph in the snapshot;
-  // materialize them from the adjacency store (or reuse the columns when
-  // re-snapshotting a snapshot-backed network).
-  std::vector<NodeId> arc_src_storage;
-  std::vector<NodeId> arc_dst_storage;
   const NodeId* arc_src = net.arc_src_.data();
   const NodeId* arc_dst = net.arc_dst_.data();
-  if (net.has_graph_) {
-    arc_src_storage.resize(m);
-    arc_dst_storage.resize(m);
-    for (ArcId id = 0; id < m; ++id) {
-      const Arc& arc = net.graph_.arc(id);
-      arc_src_storage[id] = arc.src;
-      arc_dst_storage[id] = arc.dst;
-    }
-    arc_src = arc_src_storage.data();
-    arc_dst = arc_dst_storage.data();
-  }
 
   // Segmentation index: the same WCC run SegmentTpiin would do at every
   // detection, done once here. Numbering is a pure function of the arc

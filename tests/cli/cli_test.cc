@@ -1,5 +1,6 @@
 #include "cli/cli.h"
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -16,6 +17,42 @@ std::string ReadFileToString(const std::string& path) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
+}
+
+double NumberAfter(const std::string& text, const std::string& key,
+                   size_t* pos) {
+  size_t at = text.find(key, *pos);
+  if (at == std::string::npos) return -1;
+  *pos = at + key.size();
+  return std::strtod(text.c_str() + *pos, nullptr);
+}
+
+// A run report must carry a real wall clock: positive, and at least the
+// sum of the stage times it breaks down.
+void ExpectTimedReport(const std::string& path, const std::string& tool) {
+  SCOPED_TRACE(tool);
+  const std::string json = ReadFileToString(path);
+  EXPECT_NE(json.find("\"tool\": \"" + tool + "\""), std::string::npos);
+  size_t pos = 0;
+  const double total = NumberAfter(json, "\"total_seconds\": ", &pos);
+  EXPECT_GT(total, 0) << json;
+
+  const size_t stages_begin = json.find("\"stages\": [");
+  const size_t stages_end = json.find("\"sections\": ");
+  ASSERT_NE(stages_begin, std::string::npos);
+  ASSERT_NE(stages_end, std::string::npos);
+  const std::string stages =
+      json.substr(stages_begin, stages_end - stages_begin);
+  double stage_sum = 0;
+  size_t num_stages = 0;
+  for (size_t at = 0;;) {
+    const double seconds = NumberAfter(stages, "\"seconds\": ", &at);
+    if (seconds < 0) break;
+    stage_sum += seconds;
+    ++num_stages;
+  }
+  EXPECT_GT(num_stages, 0u) << json;
+  EXPECT_GE(total, stage_sum) << json;
 }
 
 class CliTest : public ::testing::Test {
@@ -214,8 +251,8 @@ TEST_F(CliTest, RunReportAndTraceOutputs) {
   EXPECT_NE(fuse_output.find("run report written"), std::string::npos);
   EXPECT_NE(fuse_output.find("trace written"), std::string::npos);
 
+  ExpectTimedReport(fuse_report, "fuse");
   std::string report_json = ReadFileToString(fuse_report);
-  EXPECT_NE(report_json.find("\"tool\": \"fuse\""), std::string::npos);
   EXPECT_NE(report_json.find("\"fusion\""), std::string::npos);
   std::string trace_json = ReadFileToString(fuse_trace);
   EXPECT_NE(trace_json.find("\"traceEvents\""), std::string::npos);
@@ -225,12 +262,31 @@ TEST_F(CliTest, RunReportAndTraceOutputs) {
   std::string detect_trace = dir_ + "/detect_trace.json";
   Run({"detect", "--net=" + net_file, "--report=" + detect_report,
        "--trace-out=" + detect_trace, "--top=3"});
+  ExpectTimedReport(detect_report, "detect");
   report_json = ReadFileToString(detect_report);
-  EXPECT_NE(report_json.find("\"tool\": \"detect\""), std::string::npos);
   EXPECT_NE(report_json.find("\"slowest_subtpiins\""), std::string::npos);
   EXPECT_NE(report_json.find("\"metrics\""), std::string::npos);
   trace_json = ReadFileToString(detect_trace);
   EXPECT_NE(trace_json.find("\"segment\""), std::string::npos);
+
+  // The remaining report-writing commands stamp the same wall clock.
+  std::string build_report = dir_ + "/build_report.json";
+  Run({"build", "--data=" + data_dir, "--out=" + dir_ + "/net.snap",
+       "--report=" + build_report});
+  ExpectTimedReport(build_report, "build");
+  const std::string shard_dir = dir_ + "/shards";
+  std::string shard_build_report = dir_ + "/shard_build_report.json";
+  Run({"shard", "build", "--data=" + data_dir, "--out=" + shard_dir,
+       "--shards=3", "--report=" + shard_build_report});
+  ExpectTimedReport(shard_build_report, "shard_build");
+  std::string shard_detect_report = dir_ + "/shard_detect_report.json";
+  Run({"shard", "detect", "--dir=" + shard_dir,
+       "--report=" + shard_detect_report});
+  ExpectTimedReport(shard_detect_report, "shard_detect");
+  std::string shard_merge_report = dir_ + "/shard_merge_report.json";
+  Run({"shard", "merge", "--dir=" + shard_dir,
+       "--out=" + dir_ + "/merged.txt", "--report=" + shard_merge_report});
+  ExpectTimedReport(shard_merge_report, "shard_merge");
 
   // Unwritable report path surfaces as an IO error, not silence.
   Status status;

@@ -102,14 +102,11 @@ TEST(PatternTreeTest, Rule2StopsAtFirstTradingArcOnly) {
 TEST(PatternTreeTest, TrailsStartAtInfluenceIndegreeZeroNodes) {
   Tpiin net = RandomTpiin(99);
   for (const SubTpiin& sub : SegmentTpiin(net)) {
-    std::vector<uint32_t> influence_in(sub.graph.NumNodes(), 0);
-    for (ArcId id = 0; id < sub.num_influence_arcs; ++id) {
-      ++influence_in[sub.graph.arc(id).dst];
-    }
     auto gen = GeneratePatternBase(sub);
     ASSERT_TRUE(gen.ok());
     for (const auto& t : gen->base) {
-      EXPECT_EQ(influence_in[t.nodes[0]], 0u) << t.Format(sub);
+      EXPECT_EQ(sub.frozen.InfluenceInDegree(t.nodes[0]), 0u)
+          << t.Format(sub);
     }
   }
 }
@@ -127,18 +124,19 @@ TEST(PatternTreeTest, TrailsAreSimplePathsPlusOptionalTrade) {
         // Consecutive elements are influence arcs; the final hop (if
         // any) is a trading arc.
         for (size_t i = 1; i < t.nodes.size(); ++i) {
-          bool found = false;
-          for (ArcId id : sub.graph.OutArcs(t.nodes[i - 1])) {
-            const Arc& arc = sub.graph.arc(id);
-            if (arc.dst == t.nodes[i] && IsInfluenceArc(arc)) found = true;
-          }
-          EXPECT_TRUE(found);
+          const AdjSpan influence = sub.frozen.InfluenceOut(t.nodes[i - 1]);
+          EXPECT_NE(std::find(influence.nodes.begin(), influence.nodes.end(),
+                              t.nodes[i]),
+                    influence.nodes.end());
         }
         if (t.has_trade()) {
-          const Arc& arc = sub.graph.arc(t.trade_arc);
-          EXPECT_TRUE(IsTradingArc(arc));
-          EXPECT_EQ(arc.src, t.seller());
-          EXPECT_EQ(arc.dst, t.trade_dst);
+          // The trade arc leaves the seller's trading span toward
+          // trade_dst.
+          const AdjSpan trades = sub.frozen.TradingOut(t.seller());
+          auto it =
+              std::find(trades.arcs.begin(), trades.arcs.end(), t.trade_arc);
+          ASSERT_NE(it, trades.arcs.end());
+          EXPECT_EQ(trades.nodes[it - trades.arcs.begin()], t.trade_dst);
         }
       }
     }
@@ -217,10 +215,10 @@ TEST(PatternTreeTest, CyclicInfluenceRejected) {
   Tpiin net = DiamondNet();  // Parent only for labels.
   SubTpiin sub;
   sub.parent = &net;
-  sub.graph.AddNodes(2);
   sub.global_of_local = {1, 2};  // Company labels C1, C2.
-  sub.graph.AddArc(0, 1, kArcInfluence);
-  sub.graph.AddArc(1, 0, kArcInfluence);
+  sub.frozen = FrozenGraph(
+      ArcList{2, {{0, 1, kArcInfluence}, {1, 0, kArcInfluence}}},
+      kArcInfluence);
   sub.num_influence_arcs = 2;
   sub.global_arc_of_local = {0, 1};
   auto gen = GeneratePatternBase(sub);

@@ -38,7 +38,7 @@ TEST(SegmentTest, CrossComponentTradesAreDropped) {
   EXPECT_EQ(stats.trading_arcs_cross, 1u);
   ASSERT_EQ(subs.size(), 2u);
   for (const SubTpiin& sub : subs) {
-    EXPECT_EQ(sub.graph.NumNodes(), 3u);
+    EXPECT_EQ(sub.frozen.NumNodes(), 3u);
     EXPECT_EQ(sub.num_influence_arcs, 2u);
     EXPECT_EQ(sub.num_trading_arcs(), 1u);
   }
@@ -47,17 +47,21 @@ TEST(SegmentTest, CrossComponentTradesAreDropped) {
 TEST(SegmentTest, LocalGlobalMappingsRoundTrip) {
   Tpiin net = TwoComponentNet();
   for (const SubTpiin& sub : SegmentTpiin(net)) {
-    for (NodeId local = 0; local < sub.graph.NumNodes(); ++local) {
+    const FrozenGraph& fg = sub.frozen;
+    for (NodeId local = 0; local < fg.NumNodes(); ++local) {
       NodeId global = sub.ToGlobal(local);
       EXPECT_LT(global, net.NumNodes());
       EXPECT_EQ(sub.Label(local), net.Label(global));
-    }
-    for (ArcId local = 0; local < sub.graph.NumArcs(); ++local) {
-      const Arc& local_arc = sub.graph.arc(local);
-      const Arc& global_arc = net.graph().arc(sub.ToGlobalArc(local));
-      EXPECT_EQ(local_arc.color, global_arc.color);
-      EXPECT_EQ(sub.ToGlobal(local_arc.src), global_arc.src);
-      EXPECT_EQ(sub.ToGlobal(local_arc.dst), global_arc.dst);
+      for (bool trading : {false, true}) {
+        const AdjSpan out =
+            trading ? fg.TradingOut(local) : fg.InfluenceOut(local);
+        for (size_t i = 0; i < out.size(); ++i) {
+          const Arc global_arc = net.arc(sub.ToGlobalArc(out.arcs[i]));
+          EXPECT_EQ(IsTradingArc(global_arc), trading);
+          EXPECT_EQ(global, global_arc.src);
+          EXPECT_EQ(sub.ToGlobal(out.nodes[i]), global_arc.dst);
+        }
+      }
     }
   }
 }
@@ -65,9 +69,13 @@ TEST(SegmentTest, LocalGlobalMappingsRoundTrip) {
 TEST(SegmentTest, InfluenceArcsPrecedeTradingLocally) {
   Tpiin net = TwoComponentNet();
   for (const SubTpiin& sub : SegmentTpiin(net)) {
-    for (ArcId id = 0; id < sub.graph.NumArcs(); ++id) {
-      bool is_influence = IsInfluenceArc(sub.graph.arc(id));
-      EXPECT_EQ(is_influence, id < sub.num_influence_arcs);
+    for (NodeId v = 0; v < sub.frozen.NumNodes(); ++v) {
+      for (ArcId id : sub.frozen.InfluenceOut(v).arcs) {
+        EXPECT_LT(id, sub.num_influence_arcs);
+      }
+      for (ArcId id : sub.frozen.TradingOut(v).arcs) {
+        EXPECT_GE(id, sub.num_influence_arcs);
+      }
     }
   }
 }

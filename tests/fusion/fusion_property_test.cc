@@ -14,6 +14,7 @@
 #include "core/detector.h"
 #include "fusion/pipeline.h"
 #include "graph/topo.h"
+#include "graph/traversal.h"
 #include "graph/union_find.h"
 
 namespace tpiin {
@@ -90,11 +91,11 @@ TEST_P(FusionPropertyTest, CnbmInvariantsHold) {
   const Tpiin& net = fused->tpiin;
 
   // The antecedent layer is a DAG.
-  EXPECT_TRUE(IsDag(net.graph(), IsInfluenceArc));
+  EXPECT_TRUE(IsDag(net.frozen(), FrozenArcClass::kInfluence));
 
   // Arc layout: influence ids first, colors consistent, weights in (0,1].
-  for (ArcId id = 0; id < net.graph().NumArcs(); ++id) {
-    const Arc& arc = net.graph().arc(id);
+  for (ArcId id = 0; id < net.NumArcs(); ++id) {
+    const Arc arc = net.arc(id);
     EXPECT_EQ(IsInfluenceArc(arc), id < net.num_influence_arcs());
     EXPECT_GT(net.ArcWeight(id), 0.0);
     EXPECT_LE(net.ArcWeight(id), 1.0);
@@ -109,7 +110,8 @@ TEST_P(FusionPropertyTest, CnbmInvariantsHold) {
 
   // No duplicate arcs of one color.
   std::set<std::tuple<NodeId, NodeId, ArcColor>> arc_set;
-  for (const Arc& arc : net.graph().arcs()) {
+  for (ArcId id = 0; id < net.NumArcs(); ++id) {
+    const Arc arc = net.arc(id);
     EXPECT_TRUE(arc_set.insert({arc.src, arc.dst, arc.color}).second);
   }
 
@@ -144,17 +146,20 @@ TEST_P(FusionPropertyTest, CompanySyndicatesAreExactlyInvestmentSccs) {
   ASSERT_TRUE(fused.ok());
   // Two companies share a node iff they are mutually reachable via
   // investment arcs.
-  Digraph gi(static_cast<NodeId>(data.companies().size()));
+  const NodeId n = static_cast<NodeId>(data.companies().size());
+  ArcList gi{n, {}};
   for (const InvestmentRecord& rec : data.investments()) {
-    gi.AddArc(rec.investor, rec.investee, 0);
+    gi.arcs.push_back(Arc{rec.investor, rec.investee, 0});
   }
-  gi.BuildInAdjacency();
-  for (CompanyId a = 0; a < data.companies().size(); ++a) {
-    for (CompanyId b = a + 1; b < data.companies().size(); ++b) {
+  const FrozenGraph frozen(gi);
+  std::vector<std::vector<bool>> reach;
+  for (CompanyId c = 0; c < n; ++c) reach.push_back(ReachableFrom(frozen, c));
+  for (CompanyId a = 0; a < n; ++a) {
+    for (CompanyId b = a + 1; b < n; ++b) {
       bool same_node =
           fused->tpiin.NodeOfCompany(a) == fused->tpiin.NodeOfCompany(b);
-      // Reuse the graph layer's SCC for the oracle.
-      // (Checked cheaply: same node implies both in members list.)
+      EXPECT_EQ(same_node, reach[a][b] && reach[b][a])
+          << "companies " << a << ", " << b;
       if (same_node) {
         const TpiinNode& node =
             fused->tpiin.node(fused->tpiin.NodeOfCompany(a));

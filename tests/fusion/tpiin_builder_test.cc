@@ -43,6 +43,25 @@ TEST(TpiinBuilderTest, TradingSelfLoopRejected) {
   EXPECT_TRUE(builder.Build().status().IsFailedPrecondition());
 }
 
+// An arc naming a node that was never added must be refused by Build()
+// rather than reaching the CSR build, which indexes per-node arrays by
+// endpoint.
+TEST(TpiinBuilderTest, ArcToMissingNodeRejected) {
+  TpiinBuilder builder;
+  builder.AddCompanyNode("C1");
+  builder.AddCompanyNode("C2");
+  builder.AddTradingArc(0, 99);
+  Result<Tpiin> net = builder.Build();
+  ASSERT_TRUE(net.status().IsInvalidArgument()) << net.status().ToString();
+  EXPECT_NE(net.status().message().find("0 -> 99"), std::string::npos)
+      << net.status().ToString();
+
+  TpiinBuilder influence;
+  influence.AddPersonNode("P1");
+  influence.AddInfluenceArc(7, 0);
+  EXPECT_TRUE(influence.Build().status().IsInvalidArgument());
+}
+
 TEST(TpiinBuilderTest, InfluenceAfterTradingRejected) {
   TpiinBuilder builder;
   NodeId p = builder.AddPersonNode("P1");

@@ -6,7 +6,7 @@ namespace tpiin {
 namespace {
 
 TEST(DegreeStatsTest, EmptyGraph) {
-  Digraph g;
+  const FrozenGraph g(ArcList{0, {}});
   DegreeStats stats = ComputeDegreeStats(g);
   EXPECT_EQ(stats.num_nodes, 0u);
   EXPECT_EQ(stats.num_arcs, 0u);
@@ -14,10 +14,7 @@ TEST(DegreeStatsTest, EmptyGraph) {
 }
 
 TEST(DegreeStatsTest, CountsAndAverages) {
-  Digraph g(4);
-  g.AddArc(0, 1, 0);
-  g.AddArc(0, 2, 0);
-  g.AddArc(1, 2, 0);
+  const FrozenGraph g(ArcList{4, {{0, 1, 0}, {0, 2, 0}, {1, 2, 0}}});
   DegreeStats stats = ComputeDegreeStats(g);
   EXPECT_EQ(stats.num_nodes, 4u);
   EXPECT_EQ(stats.num_arcs, 3u);
@@ -31,11 +28,8 @@ TEST(DegreeStatsTest, CountsAndAverages) {
 }
 
 TEST(DegreeStatsTest, FilterChangesEverything) {
-  Digraph g(3);
-  g.AddArc(0, 1, 1);
-  g.AddArc(1, 2, 2);
-  DegreeStats stats = ComputeDegreeStats(
-      g, [](const Arc& arc) { return arc.color == 1; });
+  const FrozenGraph g(ArcList{3, {{0, 1, 1}, {1, 2, 2}}});
+  DegreeStats stats = ComputeDegreeStats(g, FrozenArcClass::kInfluence);
   EXPECT_EQ(stats.num_arcs, 1u);
   EXPECT_EQ(stats.num_isolated, 1u);  // Node 2 under the filter.
 }

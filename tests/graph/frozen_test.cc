@@ -1,14 +1,13 @@
 // FrozenGraph: the immutable CSR view with color-partitioned adjacency.
-// The contract under test: every Digraph arc appears exactly once in the
+// The contract under test: every ArcList arc appears exactly once in the
 // out CSR and once in the in CSR, each node's run is partitioned with
 // the influence class first, and relative order within a color class
-// follows Digraph insertion order.
+// follows arc id order.
 
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "graph/digraph.h"
 #include "graph/frozen.h"
 
 namespace tpiin {
@@ -18,17 +17,14 @@ constexpr ArcColor kTrading = 0;
 constexpr ArcColor kInfluence = 1;
 
 TEST(FrozenGraphTest, EmptyGraph) {
-  Digraph g;
-  FrozenGraph fg(g, kInfluence);
+  FrozenGraph fg(ArcList{}, kInfluence);
   EXPECT_EQ(fg.NumNodes(), 0u);
   EXPECT_EQ(fg.NumArcs(), 0u);
   EXPECT_EQ(fg.NumInfluenceArcs(), 0u);
 }
 
 TEST(FrozenGraphTest, SingletonNodeHasEmptySpans) {
-  Digraph g;
-  g.AddNodes(1);
-  FrozenGraph fg(g, kInfluence);
+  FrozenGraph fg(ArcList{1, {}}, kInfluence);
   EXPECT_EQ(fg.NumNodes(), 1u);
   EXPECT_EQ(fg.NumArcs(), 0u);
   EXPECT_TRUE(fg.Out(0).empty());
@@ -48,15 +44,17 @@ TEST(FrozenGraphTest, DefaultConstructedIsEmpty) {
 }
 
 // Arcs inserted with the colors interleaved still come out partitioned:
-// influence run first, then trading, each in insertion order.
+// influence run first, then trading, each in arc id order.
 TEST(FrozenGraphTest, PartitionsInterleavedColors) {
-  Digraph g;
-  g.AddNodes(5);
-  ArcId t0 = g.AddArc(0, 1, kTrading);
-  ArcId i0 = g.AddArc(0, 2, kInfluence);
-  ArcId t1 = g.AddArc(0, 3, kTrading);
-  ArcId i1 = g.AddArc(0, 4, kInfluence);
-  FrozenGraph fg(g, kInfluence);
+  const ArcId t0 = 0, i0 = 1, t1 = 2, i1 = 3;
+  FrozenGraph fg(ArcList{5,
+                         {
+                             {0, 1, kTrading},    // t0
+                             {0, 2, kInfluence},  // i0
+                             {0, 3, kTrading},    // t1
+                             {0, 4, kInfluence},  // i1
+                         }},
+                 kInfluence);
 
   EXPECT_EQ(fg.NumInfluenceArcs(), 2u);
   ASSERT_EQ(fg.OutDegree(0), 4u);
@@ -86,12 +84,13 @@ TEST(FrozenGraphTest, PartitionsInterleavedColors) {
 }
 
 TEST(FrozenGraphTest, PartitionBoundariesAtAllInfluenceAndAllTrading) {
-  Digraph g;
-  g.AddNodes(3);
-  g.AddArc(0, 1, kInfluence);
-  g.AddArc(0, 2, kInfluence);
-  g.AddArc(1, 2, kTrading);
-  FrozenGraph fg(g, kInfluence);
+  FrozenGraph fg(ArcList{3,
+                         {
+                             {0, 1, kInfluence},
+                             {0, 2, kInfluence},
+                             {1, 2, kTrading},
+                         }},
+                 kInfluence);
 
   // Node 0: all influence — trading span empty, at the run's end.
   EXPECT_EQ(fg.InfluenceOutDegree(0), 2u);
@@ -108,18 +107,19 @@ TEST(FrozenGraphTest, PartitionBoundariesAtAllInfluenceAndAllTrading) {
   EXPECT_EQ(fg.TradingIn(2).nodes[0], 1u);
 }
 
-// Every arc of the Digraph appears exactly once in the out CSR and once
-// in the in CSR, with matching endpoints.
+// Every arc of the list appears exactly once in the out CSR and once in
+// the in CSR, with matching endpoints.
 TEST(FrozenGraphTest, InOutSymmetry) {
-  Digraph g;
-  g.AddNodes(8);
-  g.AddArc(0, 3, kInfluence);
-  g.AddArc(3, 4, kInfluence);
-  g.AddArc(1, 3, kInfluence);
-  g.AddArc(4, 5, kTrading);
-  g.AddArc(3, 5, kTrading);
-  g.AddArc(5, 3, kTrading);  // Back-arc: both directions between 3 and 5.
-  g.AddArc(2, 2, kInfluence);  // Self-loop.
+  const ArcList g{8,
+                  {
+                      {0, 3, kInfluence},
+                      {3, 4, kInfluence},
+                      {1, 3, kInfluence},
+                      {4, 5, kTrading},
+                      {3, 5, kTrading},
+                      {5, 3, kTrading},  // Back-arc: 3 <-> 5.
+                      {2, 2, kInfluence},  // Self-loop.
+                  }};
   FrozenGraph fg(g, kInfluence);
   ASSERT_EQ(fg.NumArcs(), g.NumArcs());
 
@@ -128,14 +128,14 @@ TEST(FrozenGraphTest, InOutSymmetry) {
   for (NodeId v = 0; v < fg.NumNodes(); ++v) {
     AdjSpan out = fg.Out(v);
     for (size_t i = 0; i < out.size(); ++i) {
-      const Arc& arc = g.arc(out.arcs[i]);
+      const Arc& arc = g.arcs[out.arcs[i]];
       EXPECT_EQ(arc.src, v);
       EXPECT_EQ(arc.dst, out.nodes[i]);
       EXPECT_EQ(++seen_out[out.arcs[i]], 1);
     }
     AdjSpan in = fg.In(v);
     for (size_t i = 0; i < in.size(); ++i) {
-      const Arc& arc = g.arc(in.arcs[i]);
+      const Arc& arc = g.arcs[in.arcs[i]];
       EXPECT_EQ(arc.dst, v);
       EXPECT_EQ(arc.src, in.nodes[i]);
       EXPECT_EQ(++seen_in[in.arcs[i]], 1);
@@ -155,11 +155,8 @@ TEST(FrozenGraphTest, InOutSymmetry) {
 }
 
 TEST(FrozenGraphTest, OutClassSelectorsMatchNamedSpans) {
-  Digraph g;
-  g.AddNodes(3);
-  g.AddArc(0, 1, kInfluence);
-  g.AddArc(0, 2, kTrading);
-  FrozenGraph fg(g, kInfluence);
+  FrozenGraph fg(ArcList{3, {{0, 1, kInfluence}, {0, 2, kTrading}}},
+                 kInfluence);
   EXPECT_EQ(fg.OutClass(0, FrozenArcClass::kAll).size(), 2u);
   EXPECT_EQ(fg.OutClass(0, FrozenArcClass::kInfluence).nodes[0], 1u);
   EXPECT_EQ(fg.OutClass(0, FrozenArcClass::kTrading).nodes[0], 2u);
@@ -168,34 +165,39 @@ TEST(FrozenGraphTest, OutClassSelectorsMatchNamedSpans) {
   EXPECT_EQ(fg.InClass(2, FrozenArcClass::kTrading).nodes[0], 0u);
 }
 
-// Matches Digraph-derived ground truth on an arbitrary mixed graph.
-TEST(FrozenGraphTest, AgreesWithDigraphAdjacency) {
-  Digraph g;
-  g.AddNodes(6);
+// Matches ground truth computed straight from the arc list on an
+// arbitrary mixed graph: each node's run, out and in, is its arcs in id
+// order, stable-partitioned with the influence class first.
+TEST(FrozenGraphTest, AgreesWithArcListAdjacency) {
+  ArcList g{6, {}};
   for (NodeId v = 0; v < 6; ++v) {
     for (NodeId w = 0; w < 6; ++w) {
       if ((v * 7 + w * 3) % 4 == 0 && v != w) {
-        g.AddArc(v, w, (v + w) % 2 == 0 ? kInfluence : kTrading);
+        g.arcs.push_back(
+            Arc{v, w, (v + w) % 2 == 0 ? kInfluence : kTrading});
       }
     }
   }
   FrozenGraph fg(g, kInfluence);
   for (NodeId v = 0; v < 6; ++v) {
-    std::vector<ArcId> expected(g.OutArcs(v).begin(), g.OutArcs(v).end());
-    // Stable-partition the expected list: influence first.
-    std::vector<ArcId> partitioned;
-    for (ArcId id : expected) {
-      if (g.arc(id).color == kInfluence) partitioned.push_back(id);
-    }
-    for (ArcId id : expected) {
-      if (g.arc(id).color != kInfluence) partitioned.push_back(id);
+    std::vector<ArcId> out_expected;
+    std::vector<ArcId> in_expected;
+    for (ArcColor color : {kInfluence, kTrading}) {
+      for (ArcId id = 0; id < g.NumArcs(); ++id) {
+        if (g.arcs[id].color != color) continue;
+        if (g.arcs[id].src == v) out_expected.push_back(id);
+        if (g.arcs[id].dst == v) in_expected.push_back(id);
+      }
     }
     AdjSpan out = fg.Out(v);
-    ASSERT_EQ(out.size(), partitioned.size());
+    EXPECT_EQ(std::vector<ArcId>(out.arcs.begin(), out.arcs.end()),
+              out_expected);
     for (size_t i = 0; i < out.size(); ++i) {
-      EXPECT_EQ(out.arcs[i], partitioned[i]);
-      EXPECT_EQ(out.nodes[i], g.arc(partitioned[i]).dst);
+      EXPECT_EQ(out.nodes[i], g.arcs[out.arcs[i]].dst);
     }
+    AdjSpan in = fg.In(v);
+    EXPECT_EQ(std::vector<ArcId>(in.arcs.begin(), in.arcs.end()),
+              in_expected);
   }
 }
 

@@ -20,9 +20,9 @@ namespace {
 // `block` nodes so the graph has many weakly connected partitions of
 // varying size — the shape the partition-parallel SCC driver fans out
 // over — with a sprinkle of long-range arcs to create big partitions.
-Digraph RandomDigraph(uint64_t seed, NodeId n, ArcId m, NodeId block) {
+ArcList RandomArcs(uint64_t seed, NodeId n, ArcId m, NodeId block) {
   Rng rng(seed);
-  Digraph g(n);
+  ArcList g{n, {}};
   for (ArcId i = 0; i < m; ++i) {
     NodeId src = static_cast<NodeId>(rng.UniformU64(n));
     NodeId dst;
@@ -33,7 +33,8 @@ Digraph RandomDigraph(uint64_t seed, NodeId n, ArcId m, NodeId block) {
     } else {
       dst = static_cast<NodeId>(rng.UniformU64(n));
     }
-    g.AddArc(src, dst, static_cast<ArcColor>(rng.UniformU64(2)));
+    g.arcs.push_back(
+        Arc{src, dst, static_cast<ArcColor>(rng.UniformU64(2))});
   }
   return g;
 }
@@ -50,9 +51,9 @@ class ParallelGraphTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(ParallelGraphTest, SccMatchesSerialAboveThreshold) {
   for (uint64_t seed = 0; seed < 3; ++seed) {
-    Digraph g = RandomDigraph(seed, /*n=*/20000, /*m=*/50000,
-                              /*block=*/64);
-    FrozenGraph frozen(g, /*influence_color=*/1);
+    FrozenGraph frozen(RandomArcs(seed, /*n=*/20000, /*m=*/50000,
+                                  /*block=*/64),
+                       /*influence_color=*/1);
     SccResult serial =
         StronglyConnectedComponents(frozen, FrozenArcClass::kAll);
     SccResult parallel = StronglyConnectedComponents(
@@ -72,12 +73,12 @@ TEST_P(ParallelGraphTest, SccMatchesSerialOnOneBigPartition) {
   // single-partition fallback (nothing to fan out over).
   Rng rng(11);
   const NodeId n = 10000;
-  Digraph g(n);
-  for (NodeId v = 0; v + 1 < n; ++v) g.AddArc(v, v + 1, 0);
+  ArcList g{n, {}};
+  for (NodeId v = 0; v + 1 < n; ++v) g.arcs.push_back(Arc{v, v + 1, 0});
   for (int i = 0; i < 2000; ++i) {
     NodeId src = static_cast<NodeId>(rng.UniformU64(n));
     NodeId dst = static_cast<NodeId>(rng.UniformU64(n));
-    g.AddArc(src, dst, 0);
+    g.arcs.push_back(Arc{src, dst, 0});
   }
   FrozenGraph frozen(g);
   ExpectSccEqual(
@@ -87,8 +88,7 @@ TEST_P(ParallelGraphTest, SccMatchesSerialOnOneBigPartition) {
 }
 
 TEST_P(ParallelGraphTest, SccMatchesSerialBelowThreshold) {
-  Digraph g = RandomDigraph(7, /*n=*/500, /*m=*/1500, /*block=*/16);
-  FrozenGraph frozen(g);
+  FrozenGraph frozen(RandomArcs(7, /*n=*/500, /*m=*/1500, /*block=*/16));
   ExpectSccEqual(
       StronglyConnectedComponents(frozen, FrozenArcClass::kAll),
       StronglyConnectedComponents(frozen, FrozenArcClass::kAll,
@@ -97,9 +97,9 @@ TEST_P(ParallelGraphTest, SccMatchesSerialBelowThreshold) {
 
 TEST_P(ParallelGraphTest, WccMatchesSerialAboveThreshold) {
   for (uint64_t seed = 0; seed < 3; ++seed) {
-    Digraph g = RandomDigraph(100 + seed, /*n=*/20000, /*m=*/40000,
-                              /*block=*/32);
-    FrozenGraph frozen(g, /*influence_color=*/1);
+    FrozenGraph frozen(RandomArcs(100 + seed, /*n=*/20000, /*m=*/40000,
+                                  /*block=*/32),
+                       /*influence_color=*/1);
     for (FrozenArcClass arc_class :
          {FrozenArcClass::kAll, FrozenArcClass::kInfluence}) {
       WccResult serial = WeaklyConnectedComponents(frozen, arc_class);

@@ -12,21 +12,14 @@ namespace tpiin {
 namespace {
 
 TEST(SccTest, DagHasOnlyTrivialComponents) {
-  Digraph g(4);
-  g.AddArc(0, 1, 0);
-  g.AddArc(1, 2, 0);
-  g.AddArc(0, 3, 0);
+  const FrozenGraph g(ArcList{4, {{0, 1, 0}, {1, 2, 0}, {0, 3, 0}}});
   SccResult scc = StronglyConnectedComponents(g);
   EXPECT_EQ(scc.num_components, 4u);
   EXPECT_TRUE(scc.nontrivial_components.empty());
 }
 
 TEST(SccTest, SimpleCycle) {
-  Digraph g(4);
-  g.AddArc(0, 1, 0);
-  g.AddArc(1, 2, 0);
-  g.AddArc(2, 0, 0);
-  g.AddArc(2, 3, 0);
+  const FrozenGraph g(ArcList{4, {{0, 1, 0}, {1, 2, 0}, {2, 0, 0}, {2, 3, 0}}});
   SccResult scc = StronglyConnectedComponents(g);
   EXPECT_EQ(scc.num_components, 2u);
   ASSERT_EQ(scc.nontrivial_components.size(), 1u);
@@ -38,8 +31,7 @@ TEST(SccTest, SimpleCycle) {
 }
 
 TEST(SccTest, SelfLoopIsNontrivial) {
-  Digraph g(2);
-  g.AddArc(0, 0, 0);
+  const FrozenGraph g(ArcList{2, {{0, 0, 0}}});
   SccResult scc = StronglyConnectedComponents(g);
   EXPECT_EQ(scc.num_components, 2u);
   ASSERT_EQ(scc.nontrivial_components.size(), 1u);
@@ -48,12 +40,13 @@ TEST(SccTest, SelfLoopIsNontrivial) {
 }
 
 TEST(SccTest, TwoDisjointCycles) {
-  Digraph g(6);
-  g.AddArc(0, 1, 0);
-  g.AddArc(1, 0, 0);
-  g.AddArc(2, 3, 0);
-  g.AddArc(3, 4, 0);
-  g.AddArc(4, 2, 0);
+  const FrozenGraph g(ArcList{6, {
+      {0, 1, 0},
+      {1, 0, 0},
+      {2, 3, 0},
+      {3, 4, 0},
+      {4, 2, 0},
+  }});
   SccResult scc = StronglyConnectedComponents(g);
   EXPECT_EQ(scc.num_components, 3u);  // {0,1}, {2,3,4}, {5}.
   EXPECT_EQ(scc.nontrivial_components.size(), 2u);
@@ -63,37 +56,39 @@ TEST(SccTest, ReverseTopologicalComponentIds) {
   // Tarjan emits components in reverse topological order: if comp(u) has
   // an arc to comp(v) (u, v in different components), then
   // component_of[u] > component_of[v].
-  Digraph g(5);
-  g.AddArc(0, 1, 0);
-  g.AddArc(1, 2, 0);
-  g.AddArc(2, 1, 0);  // {1,2} cycle.
-  g.AddArc(2, 3, 0);
-  g.AddArc(3, 4, 0);
-  SccResult scc = StronglyConnectedComponents(g);
-  for (const Arc& arc : g.arcs()) {
+  const ArcList arcs{5, {
+      {0, 1, 0},
+      {1, 2, 0},
+      {2, 1, 0},  // {1,2} cycle.
+      {2, 3, 0},
+      {3, 4, 0},
+  }};
+  SccResult scc = StronglyConnectedComponents(FrozenGraph(arcs));
+  for (const Arc& arc : arcs.arcs) {
     if (scc.component_of[arc.src] != scc.component_of[arc.dst]) {
       EXPECT_GT(scc.component_of[arc.src], scc.component_of[arc.dst]);
     }
   }
 }
 
-TEST(SccTest, ArcFilterRestrictsDecomposition) {
-  Digraph g(3);
-  g.AddArc(0, 1, /*color=*/1);
-  g.AddArc(1, 0, /*color=*/2);  // Filtered out: no cycle remains.
+TEST(SccTest, ArcClassRestrictsDecomposition) {
+  const FrozenGraph g(ArcList{3, {
+      {0, 1, 1},
+      {1, 0, 2},  // Not in the influence class: no cycle remains.
+  }});
   SccResult all = StronglyConnectedComponents(g);
   EXPECT_EQ(all.nontrivial_components.size(), 1u);
-  SccResult filtered = StronglyConnectedComponents(
-      g, [](const Arc& arc) { return arc.color == 1; });
-  EXPECT_TRUE(filtered.nontrivial_components.empty());
+  SccResult influence =
+      StronglyConnectedComponents(g, FrozenArcClass::kInfluence);
+  EXPECT_TRUE(influence.nontrivial_components.empty());
 }
 
 TEST(SccTest, DeepChainDoesNotOverflowStack) {
   constexpr NodeId kN = 200000;
-  Digraph g(kN);
-  for (NodeId i = 1; i < kN; ++i) g.AddArc(i - 1, i, 0);
-  g.AddArc(kN - 1, 0, 0);  // One giant cycle.
-  SccResult scc = StronglyConnectedComponents(g);
+  ArcList arcs{kN, {}};
+  for (NodeId i = 1; i < kN; ++i) arcs.arcs.push_back(Arc{i - 1, i, 0});
+  arcs.arcs.push_back(Arc{kN - 1, 0, 0});  // One giant cycle.
+  SccResult scc = StronglyConnectedComponents(FrozenGraph(arcs));
   EXPECT_EQ(scc.num_components, 1u);
   EXPECT_EQ(scc.members[0].size(), kN);
 }
@@ -105,12 +100,13 @@ class SccPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(SccPropertyTest, AgreesWithMutualReachability) {
   Rng rng(GetParam());
   const NodeId n = 2 + static_cast<NodeId>(rng.UniformU64(28));
-  Digraph g(n);
-  const uint32_t arcs = static_cast<uint32_t>(rng.UniformU64(3 * n));
-  for (uint32_t i = 0; i < arcs; ++i) {
-    g.AddArc(static_cast<NodeId>(rng.UniformU64(n)),
-             static_cast<NodeId>(rng.UniformU64(n)), 0);
+  ArcList arcs{n, {}};
+  const uint32_t m = static_cast<uint32_t>(rng.UniformU64(3 * n));
+  for (uint32_t i = 0; i < m; ++i) {
+    arcs.arcs.push_back(Arc{static_cast<NodeId>(rng.UniformU64(n)),
+                            static_cast<NodeId>(rng.UniformU64(n)), 0});
   }
+  const FrozenGraph g(arcs);
   SccResult scc = StronglyConnectedComponents(g);
 
   std::vector<std::vector<bool>> reach;

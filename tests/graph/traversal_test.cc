@@ -6,7 +6,7 @@ namespace tpiin {
 namespace {
 
 TEST(ReachableFromTest, StartIsAlwaysReachable) {
-  Digraph g(3);
+  const FrozenGraph g(ArcList{3, {}});
   std::vector<bool> reach = ReachableFrom(g, 1);
   EXPECT_FALSE(reach[0]);
   EXPECT_TRUE(reach[1]);
@@ -14,10 +14,7 @@ TEST(ReachableFromTest, StartIsAlwaysReachable) {
 }
 
 TEST(ReachableFromTest, FollowsDirection) {
-  Digraph g(4);
-  g.AddArc(0, 1, 0);
-  g.AddArc(1, 2, 0);
-  g.AddArc(3, 2, 0);
+  const FrozenGraph g(ArcList{4, {{0, 1, 0}, {1, 2, 0}, {3, 2, 0}}});
   std::vector<bool> reach = ReachableFrom(g, 0);
   EXPECT_TRUE(reach[0]);
   EXPECT_TRUE(reach[1]);
@@ -26,28 +23,20 @@ TEST(ReachableFromTest, FollowsDirection) {
 }
 
 TEST(ReachableFromTest, HandlesCycles) {
-  Digraph g(3);
-  g.AddArc(0, 1, 0);
-  g.AddArc(1, 0, 0);
-  g.AddArc(1, 2, 0);
+  const FrozenGraph g(ArcList{3, {{0, 1, 0}, {1, 0, 0}, {1, 2, 0}}});
   std::vector<bool> reach = ReachableFrom(g, 0);
   EXPECT_TRUE(reach[0] && reach[1] && reach[2]);
 }
 
 TEST(ReachableFromTest, FilterBlocksArcs) {
-  Digraph g(3);
-  g.AddArc(0, 1, 1);
-  g.AddArc(1, 2, 2);
-  std::vector<bool> reach =
-      ReachableFrom(g, 0, [](const Arc& arc) { return arc.color == 1; });
+  const FrozenGraph g(ArcList{3, {{0, 1, 1}, {1, 2, 2}}});
+  std::vector<bool> reach = ReachableFrom(g, 0, FrozenArcClass::kInfluence);
   EXPECT_TRUE(reach[1]);
   EXPECT_FALSE(reach[2]);
 }
 
 TEST(FindSubgraphsDfsTest, MembersSortedAndComplete) {
-  Digraph g(5);
-  g.AddArc(4, 2, 0);
-  g.AddArc(2, 0, 0);
+  const FrozenGraph g(ArcList{5, {{4, 2, 0}, {2, 0, 0}}});
   WccResult wcc = FindSubgraphsDfs(g);
   EXPECT_EQ(wcc.num_components, 3u);
   std::vector<NodeId> big = wcc.members[wcc.component_of[0]];

@@ -29,7 +29,7 @@ TEST(DotExportTest, TpiinDotHasNodesAndColoredArcs) {
 
 TEST(DotExportTest, LayerDotRendersUndirectedInterdependence) {
   RawDataset data = BuildWorkedExampleDataset();
-  Digraph g1 = BuildInterdependenceGraph(data);
+  ArcList g1 = BuildInterdependenceGraph(data);
   std::vector<std::string> labels;
   for (const Person& p : data.persons()) labels.push_back(p.name);
   std::string dot = LayerToDot(g1, labels, "G1");
@@ -38,22 +38,23 @@ TEST(DotExportTest, LayerDotRendersUndirectedInterdependence) {
   EXPECT_NE(dot.find("gold"), std::string::npos);    // Interlocking.
 }
 
-TEST(DotExportTest, FrozenGraphOverloadMatchesDigraphByteForByte) {
-  RawDataset data = BuildWorkedExampleDataset();
-  Digraph g1 = BuildInterdependenceGraph(data);
-  std::vector<std::string> labels;
-  for (const Person& p : data.persons()) labels.push_back(p.name);
-
-  std::string via_digraph = LayerToDot(g1, labels, "G1");
-  // Freeze on the first arc color, as the Digraph overload does; G1
-  // carries kinship + interlocking arcs in either role.
-  ASSERT_FALSE(g1.arcs().empty());
-  ArcColor first = g1.arcs().front().color;
-  ArcColor other =
-      first == kLayerKinship ? kLayerInterlocking : kLayerKinship;
-  std::string via_frozen =
-      LayerToDot(FrozenGraph(g1, first), other, labels, "G1");
-  EXPECT_EQ(via_frozen, via_digraph);
+TEST(DotExportTest, LayerDotEmitsOneEdgePerArcInIdOrder) {
+  const ArcList layer{3,
+                      {
+                          {2, 0, kLayerTrading},
+                          {0, 1, kLayerKinship},
+                          {1, 2, kLayerInvestment},
+                      }};
+  EXPECT_EQ(LayerToDot(layer, {"a"}, "L"),
+            "digraph \"L\" {\n"
+            "  node [fontsize=10, shape=circle];\n"
+            "  n0 [label=\"a\"];\n"
+            "  n1 [label=\"1\"];\n"
+            "  n2 [label=\"2\"];\n"
+            "  n2 -> n0 [color=black];\n"
+            "  n0 -> n1 [color=brown, dir=none];\n"
+            "  n1 -> n2 [color=forestgreen];\n"
+            "}\n");
 }
 
 TEST(DotExportTest, EscapesQuotesInLabels) {

@@ -282,7 +282,14 @@ int main(int argc, char** argv) {
     if (arg.rfind("--metric=", 0) == 0) {
       metric = arg.substr(9);
     } else if (arg.rfind("--threshold=", 0) == 0) {
-      threshold = std::strtod(arg.c_str() + 12, nullptr);
+      // The whole value must be a number: "10%" is not silently read as
+      // 10 (a 1000% gate).
+      const char* begin = arg.c_str() + 12;
+      char* end = nullptr;
+      threshold = std::strtod(begin, &end);
+      if (end == begin || *end != '\0' || !std::isfinite(threshold)) {
+        return Usage();
+      }
     } else if (arg.rfind("--bench=", 0) == 0) {
       bench_filter = arg.substr(8);
     } else if (arg.rfind("--case=", 0) == 0) {
