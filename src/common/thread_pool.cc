@@ -152,18 +152,24 @@ Status ThreadPool::ParallelForChecked(
   }
 
   // Lowest-index error wins so the aggregate does not depend on which
-  // worker hit its error first (with cancellation, later indices may be
-  // skipped entirely — but among the bodies that ran, the report is
-  // deterministic).
+  // worker hit its error first. Cancellation skips only indices above
+  // the lowest failure so far: a lower index claimed before the cancel
+  // but not yet started still runs, so the report is the lowest failing
+  // index overall, not merely the lowest among whichever bodies won
+  // the race against the cancel.
   struct ErrorState {
     std::mutex mu;
-    size_t first_index = SIZE_MAX;
+    std::atomic<size_t> first_index{SIZE_MAX};
     Status first_status;
   };
   ErrorState error;
 
   ParallelFor(count, parallelism, [&](size_t i) {
-    if (token->cancelled()) return;
+    if (token->cancelled()) {
+      // SIZE_MAX here means the cancel came from the caller: skip all.
+      const size_t lowest = error.first_index.load();
+      if (lowest == SIZE_MAX || i > lowest) return;
+    }
     Status s;
     try {
       s = body(i);
@@ -174,16 +180,18 @@ Status ThreadPool::ParallelForChecked(
       s = Status::Internal("uncaught non-std::exception in task");
     }
     if (!s.ok()) {
-      std::lock_guard<std::mutex> lock(error.mu);
-      if (i < error.first_index) {
-        error.first_index = i;
-        error.first_status = std::move(s);
+      {
+        std::lock_guard<std::mutex> lock(error.mu);
+        if (i < error.first_index.load()) {
+          error.first_index.store(i);
+          error.first_status = std::move(s);
+        }
       }
       token->Cancel();
     }
   });
 
-  if (error.first_index != SIZE_MAX) return error.first_status;
+  if (error.first_index.load() != SIZE_MAX) return error.first_status;
   if (cancel != nullptr && cancel->cancelled()) {
     return Status::Cancelled("parallel section cancelled");
   }

@@ -76,12 +76,13 @@ class ThreadPool {
 
   /// Fallible parallel-for: body returns Status. The first non-OK status
   /// (or thrown exception, captured as StatusCode::kInternal) cancels
-  /// `cancel` — indices not yet started are then skipped — and the
-  /// captured error with the LOWEST index is returned, so the reported
-  /// error does not depend on worker scheduling among the indices that
-  /// ran. Passing an already-cancelled token skips every body and
-  /// returns Cancelled; `cancel` may be nullptr (an internal token is
-  /// used).
+  /// `cancel` — indices not yet started above the lowest failing index
+  /// are then skipped, those below it still run — and the captured
+  /// error with the LOWEST index is returned, so the reported error is
+  /// the lowest failing index whatever the worker scheduling. Passing an
+  /// already-cancelled token (or cancelling it from outside) skips every
+  /// body not yet started and returns Cancelled; `cancel` may be nullptr
+  /// (an internal token is used).
   Status ParallelForChecked(size_t count, uint32_t parallelism,
                             const std::function<Status(size_t)>& body,
                             CancelToken* cancel = nullptr);

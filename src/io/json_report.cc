@@ -18,44 +18,13 @@ void AppendLabelArray(std::string& out, const Tpiin& net,
   for (size_t i = 0; i < nodes.size(); ++i) {
     if (i > 0) out += ',';
     out += '"';
-    out += JsonEscape(net.Label(nodes[i]));
+    AppendJsonEscaped(net.Label(nodes[i]), &out);
     out += '"';
   }
   out += ']';
 }
 
 }  // namespace
-
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StringPrintf("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string DetectionToJson(const Tpiin& net,
                             const DetectionResult& detection,

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 
+#include "common/string_util.h"  // Header-only AppendJsonEscaped.
 #include "obs/rss.h"
 
 namespace tpiin {
@@ -27,39 +28,6 @@ bool WriteWholeFileAtomic(const std::string& path,
   return true;
 }
 
-std::string JsonEscapeString(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string ReportValueToJson(const ReportValue& value) {
@@ -81,7 +49,7 @@ std::string ReportValueToJson(const ReportValue& value) {
       return std::get<bool>(value) ? "true" : "false";
     default: {
       std::string quoted = "\"";
-      quoted += JsonEscapeString(std::get<std::string>(value));
+      AppendJsonEscaped(std::get<std::string>(value), &quoted);
       quoted += '"';
       return quoted;
     }
@@ -127,7 +95,7 @@ std::string RunReport::ToJson() const {
   char buf[96];
   std::string out = "{\n";
   out += "  \"tool\": \"";
-  out += JsonEscapeString(tool_);
+  AppendJsonEscaped(tool_, &out);
   out += "\",\n";
   std::snprintf(buf, sizeof(buf), "  \"threads\": %u,\n", threads_);
   out += buf;
@@ -140,7 +108,7 @@ std::string RunReport::ToJson() const {
     const Stage& stage = stages_[i];
     if (i > 0) out += ',';
     out += "\n    {\"name\": \"";
-    out += JsonEscapeString(stage.name);
+    AppendJsonEscaped(stage.name, &out);
     out += "\", ";
     std::snprintf(buf, sizeof(buf),
                   "\"seconds\": %.9g, \"cpu_seconds\": %.9g, "
@@ -155,13 +123,13 @@ std::string RunReport::ToJson() const {
   for (size_t s = 0; s < sections_.size(); ++s) {
     if (s > 0) out += ',';
     out += "\n    \"";
-    out += JsonEscapeString(sections_[s].first);
+    AppendJsonEscaped(sections_[s].first, &out);
     out += "\": {";
     const auto& items = sections_[s].second.items();
     for (size_t i = 0; i < items.size(); ++i) {
       if (i > 0) out += ", ";
       out += '"';
-      out += JsonEscapeString(items[i].first);
+      AppendJsonEscaped(items[i].first, &out);
       out += "\": ";
       out += ReportValueToJson(items[i].second);
     }
@@ -174,12 +142,12 @@ std::string RunReport::ToJson() const {
     if (t > 0) out += ',';
     const ReportTable& table = tables_[t].second;
     out += "\n    \"";
-    out += JsonEscapeString(tables_[t].first);
+    AppendJsonEscaped(tables_[t].first, &out);
     out += "\": {\"columns\": [";
     for (size_t c = 0; c < table.columns().size(); ++c) {
       if (c > 0) out += ", ";
       out += '"';
-      out += JsonEscapeString(table.columns()[c]);
+      AppendJsonEscaped(table.columns()[c], &out);
       out += '"';
     }
     out += "], \"rows\": [";

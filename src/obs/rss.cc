@@ -1,5 +1,7 @@
 #include "obs/rss.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 
 #include "obs/metrics.h"
@@ -11,14 +13,46 @@
 
 namespace tpiin {
 
+namespace {
+
+// Largest RSS this process has read. The kernel's RSS counters are
+// per-CPU and approximate, so a later VmHWM (or ru_maxrss) read can
+// come out a few pages *below* an earlier one, or below an earlier
+// VmRSS/statm read. Folding every sample into one running max keeps
+// the peak monotone and never below a current value already reported.
+std::atomic<int64_t> g_peak_seen{0};
+
+int64_t NotePeak(int64_t bytes) {
+  int64_t seen = g_peak_seen.load(std::memory_order_relaxed);
+  while (seen < bytes && !g_peak_seen.compare_exchange_weak(
+                             seen, bytes, std::memory_order_relaxed)) {
+  }
+  return std::max(seen, bytes);
+}
+
+}  // namespace
+
 int64_t PeakRssBytes() {
+#if defined(__linux__)
+  // VmHWM is taken at read time as max(high-water mark, current RSS),
+  // so it is never below the VmRSS of the same read.
+  if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
+    char line[256];
+    long long kib = -1;
+    while (kib < 0 && std::fgets(line, sizeof(line), f) != nullptr) {
+      if (std::sscanf(line, "VmHWM: %lld kB", &kib) != 1) kib = -1;
+    }
+    std::fclose(f);
+    if (kib >= 0) return NotePeak(static_cast<int64_t>(kib) * 1024);
+  }
+#endif
 #if defined(__unix__) || defined(__APPLE__)
   struct rusage usage;
   if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
 #if defined(__APPLE__)
-  return static_cast<int64_t>(usage.ru_maxrss);  // Bytes on Darwin.
+  return NotePeak(static_cast<int64_t>(usage.ru_maxrss));  // Bytes.
 #else
-  return static_cast<int64_t>(usage.ru_maxrss) * 1024;  // KiB on Linux.
+  return NotePeak(static_cast<int64_t>(usage.ru_maxrss) * 1024);  // KiB.
 #endif
 #else
   return 0;
@@ -35,8 +69,10 @@ int64_t CurrentRssBytes() {
       std::fscanf(f, "%lld %lld", &total_pages, &resident_pages);
   std::fclose(f);
   if (parsed != 2) return 0;
-  return static_cast<int64_t>(resident_pages) *
-         static_cast<int64_t>(::sysconf(_SC_PAGESIZE));
+  const int64_t current = static_cast<int64_t>(resident_pages) *
+                          static_cast<int64_t>(::sysconf(_SC_PAGESIZE));
+  NotePeak(current);
+  return current;
 #else
   return 0;
 #endif

@@ -5,11 +5,13 @@
 
 namespace tpiin {
 
-/// High-water resident set size of this process in bytes (getrusage
-/// ru_maxrss). Monotone over the process lifetime — it never decreases
+/// High-water resident set size of this process in bytes (VmHWM from
+/// /proc/self/status on Linux, getrusage ru_maxrss elsewhere). Monotone over the process lifetime — it never decreases
 /// even after memory is released — so out-of-core claims must be
 /// measured in a fresh process per configuration. Returns 0 when the
-/// platform cannot report it.
+/// platform cannot report it. Never below an earlier PeakRssBytes or
+/// CurrentRssBytes result of this process (the kernel's counters are
+/// approximate; every sample is folded into one running max).
 int64_t PeakRssBytes();
 
 /// Instantaneous resident set size in bytes (/proc/self/statm).

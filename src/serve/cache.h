@@ -82,12 +82,16 @@ class LruCache {
     return lru_.size();
   }
 
-  /// True iff `key` is resident (no recency update, no counters) —
-  /// test introspection.
-  bool Contains(const std::string& key) const {
+  /// The resident value of `key`, or nullptr, with no recency update
+  /// and no counters — test introspection.
+  std::shared_ptr<const V> Peek(const std::string& key) const {
     std::lock_guard<std::mutex> lock(mu_);
-    return index_.find(key) != index_.end();
+    auto it = index_.find(key);
+    return it == index_.end() ? nullptr : it->second->value;
   }
+
+  /// True iff `key` is resident; Peek's no-side-effect rules.
+  bool Contains(const std::string& key) const { return Peek(key) != nullptr; }
 
   void Clear() {
     std::lock_guard<std::mutex> lock(mu_);

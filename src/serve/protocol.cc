@@ -3,9 +3,9 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <utility>
 
 #include "common/string_util.h"
-#include "io/json_report.h"  // JsonEscape: shared with the batch JSON report.
 
 namespace tpiin {
 
@@ -71,16 +71,15 @@ Result<std::string> ParseJsonString(Scanner& s) {
   if (!s.Consume('"')) return Malformed("expected '\"'");
   std::string out;
   while (true) {
+    // Plain runs are appended whole; only the byte that ends one is
+    // looked at on its own.
+    const size_t special = FindJsonSpecial(s.in, s.pos);
+    out.append(s.in, s.pos, special - s.pos);
+    s.pos = special;
     if (s.pos >= s.in.size()) return Malformed("unterminated string");
-    char c = s.in[s.pos++];
+    const char c = s.in[s.pos++];
     if (c == '"') return out;
-    if (c != '\\') {
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return Malformed("unescaped control character in string");
-      }
-      out.push_back(c);
-      continue;
-    }
+    if (c != '\\') return Malformed("unescaped control character in string");
     if (s.pos >= s.in.size()) return Malformed("unterminated escape");
     char e = s.in[s.pos++];
     switch (e) {
@@ -241,27 +240,46 @@ Result<Request> ParseRequestLine(std::string_view line) {
   return req;
 }
 
-std::string SerializeResponse(const Response& response) {
-  std::string out = "{";
+FramedResponse FrameResponse(const Response& response) {
+  FramedResponse framed;
+  std::string& head = framed.head;
+  head += '{';
   if (response.id >= 0) {
-    out += StringPrintf("\"id\":%lld,",
-                        static_cast<long long>(response.id));
+    head += StringPrintf("\"id\":%lld,",
+                         static_cast<long long>(response.id));
   }
   if (!response.request_id.empty()) {
-    out += "\"req\":\"" + JsonEscape(response.request_id) + "\",";
+    head += "\"req\":\"" + JsonEscape(response.request_id) + "\",";
   }
   if (!response.verb.empty()) {
-    out += "\"verb\":\"" + JsonEscape(response.verb) + "\",";
+    head += "\"verb\":\"" + JsonEscape(response.verb) + "\",";
   }
-  out += "\"status\":\"" + JsonEscape(response.status) + "\"";
+  head += "\"status\":\"" + JsonEscape(response.status) + "\"";
+  std::string& tail = framed.tail;
   if (response.status == "ok" || response.status == "degraded") {
-    out += ",\"payload\":\"" + JsonEscape(response.payload) + "\"";
+    head += ",\"payload\":\"";
+    if (response.escaped_payload != nullptr) {
+      framed.body = response.escaped_payload;
+    } else {
+      AppendJsonEscaped(response.payload, &head);
+    }
+    tail += "\"";
   }
   if (!response.error.empty()) {
-    out += ",\"error\":\"" + JsonEscape(response.error) + "\"";
+    tail += ",\"error\":\"" + JsonEscape(response.error) + "\"";
   }
-  out += "}";
-  return out;
+  tail += "}\n";
+  return framed;
+}
+
+std::string SerializeResponse(const Response& response) {
+  FramedResponse framed = FrameResponse(response);
+  const size_t size = framed.size() - 1;  // Without the terminator.
+  std::string line = std::move(framed.head);
+  line.reserve(size);
+  if (framed.body != nullptr) line += *framed.body;
+  line.append(framed.tail, 0, framed.tail.size() - 1);
+  return line;
 }
 
 Result<Response> ParseResponseLine(std::string_view line) {

@@ -2,6 +2,7 @@
 #define TPIIN_SERVE_PROTOCOL_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -78,10 +79,32 @@ struct Response {
   std::string request_id;
   std::string verb;
   std::string status;  ///< "ok" | "degraded" | "busy" | "error".
+  /// The raw payload text (what the verb's batch artifact holds).
   std::string payload;
+  /// Optional: `payload` already JSON-escaped (it must equal
+  /// JsonEscape(payload)), shared with the cache that owns it. When set,
+  /// framing sends these bytes as they are instead of escaping
+  /// `payload` again, so a cached multi-megabyte answer is neither
+  /// copied nor re-escaped on its way to the socket.
+  std::shared_ptr<const std::string> escaped_payload;
   std::string error;
 
   bool ok() const { return status == "ok"; }
+};
+
+/// A response's wire line in three parts: `head` + `*body` (when
+/// non-null) + `tail` is the line, and `tail` ends in the '\n'
+/// terminator. `body` is the response's shared escaped_payload; a
+/// payload without one is escaped into `head`. The transport hands the
+/// three parts to one vectored write.
+struct FramedResponse {
+  std::string head;
+  std::shared_ptr<const std::string> body;
+  std::string tail;
+
+  size_t size() const {
+    return head.size() + (body ? body->size() : 0) + tail.size();
+  }
 };
 
 /// Parses one request line (either form, leading/trailing whitespace and
@@ -90,9 +113,12 @@ struct Response {
 /// with a `status: error` response and keeps the connection.
 Result<Request> ParseRequestLine(std::string_view line);
 
-/// Renders `response` as its single-line JSON form (no trailing
-/// newline; the transport appends it). Key order is fixed so responses
-/// are byte-stable for tests and diffs.
+/// Frames `response` as its single-line JSON form plus the '\n'
+/// terminator. Key order is fixed so responses are byte-stable for
+/// tests and diffs.
+FramedResponse FrameResponse(const Response& response);
+
+/// The framed line as one string, without the terminator.
 std::string SerializeResponse(const Response& response);
 
 /// Parses a response line (the client side). InvalidArgument on

@@ -7,6 +7,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -21,7 +22,6 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "io/json_report.h"  // JsonEscape, for the slow verb's payload.
 #include "obs/prometheus.h"
 #include "obs/rss.h"
 #include "serve/protocol.h"
@@ -304,7 +304,7 @@ void Server::AcceptLoop() {
       resp.error = StringPrintf(
           "server at capacity (%zu in flight + %zu queued)",
           options_.max_inflight, options_.max_queue);
-      const std::string wire = SerializeResponse(resp) + "\n";
+      const FramedResponse wire = FrameResponse(resp);
       // Log before ack, as for request records below.
       if (access_log_ != nullptr) {
         std::vector<LogField> fields;
@@ -432,32 +432,60 @@ bool Server::ReadLine(int fd, std::string* buffer, std::string* line) {
 }
 
 void Server::WriteResponse(int fd, const Response& response) {
-  WriteWire(fd, SerializeResponse(response) + "\n");
+  WriteWire(fd, FrameResponse(response));
 }
 
-bool Server::WriteWire(int fd, const std::string& line) {
+bool Server::WriteWire(int fd, const FramedResponse& wire) {
+  // The unsent parts, in order; `first` is the next one to send. The
+  // shared body goes out straight from its cache entry, never copied.
+  struct iovec parts[3];
+  size_t count = 0;
+  const auto add = [&](const std::string& part) {
+    if (part.empty()) return;
+    parts[count].iov_base = const_cast<char*>(part.data());
+    parts[count].iov_len = part.size();
+    ++count;
+  };
+  add(wire.head);
+  if (wire.body != nullptr) add(*wire.body);
+  add(wire.tail);
+  size_t first = 0;
   bool injected_eintr = false;
-  size_t written = 0;
-  while (written < line.size()) {
+  while (first < count) {
     // serve.io.write.*: mirror of the read-side hazards — short writes
     // must resume at the right offset, EINTR must retry (once per call,
     // so an always-fire policy cannot loop forever).
-    size_t want = line.size() - written;
-    if (!CheckFailpoint("serve.io.write.short").ok()) want = 1;
+    struct msghdr msg = {};
+    msg.msg_iov = parts + first;
+    msg.msg_iovlen = count - first;
+    struct iovec one_byte = {parts[first].iov_base, 1};
+    if (!CheckFailpoint("serve.io.write.short").ok()) {
+      msg.msg_iov = &one_byte;
+      msg.msg_iovlen = 1;
+    }
     if (!injected_eintr && !CheckFailpoint("serve.io.write.eintr").ok()) {
       injected_eintr = true;
       continue;
     }
     // MSG_NOSIGNAL: a client that hung up must surface as EPIPE, not
     // kill the process with SIGPIPE.
-    const ssize_t n = send(fd, line.data() + written, want, MSG_NOSIGNAL);
+    const ssize_t n = sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       // EAGAIN/EWOULDBLOCK = the SO_SNDTIMEO write deadline: the client
       // stopped draining. Either way this connection is done.
       return false;
     }
-    written += static_cast<size_t>(n);
+    // Drop the fully sent parts, then trim the partly sent one.
+    size_t sent = static_cast<size_t>(n);
+    while (first < count && sent >= parts[first].iov_len) {
+      sent -= parts[first].iov_len;
+      ++first;
+    }
+    if (sent > 0) {
+      parts[first].iov_base = static_cast<char*>(parts[first].iov_base) + sent;
+      parts[first].iov_len -= sent;
+    }
   }
   return true;
 }
@@ -566,7 +594,10 @@ void Server::HandleConnection(int fd, uint64_t conn_id,
     metrics_.GetHistogram("serve.latency_us." + verb).Record(handle_us);
     metrics_.GetHistogram("serve.queue_us").Record(queue_us);
 
-    const std::string wire = SerializeResponse(resp) + "\n";
+    WallTimer serialize_timer;
+    const FramedResponse wire = FrameResponse(resp);
+    const uint64_t serialize_us =
+        static_cast<uint64_t>(serialize_timer.ElapsedMicros());
 
     // Log before ack: the record must be in the file before the client
     // can act on the response. A client that reacts to this answer by
@@ -576,7 +607,7 @@ void Server::HandleConnection(int fd, uint64_t conn_id,
     const char* cache = CacheToken(telemetry.cache);
     if (access_log_ != nullptr) {
       std::vector<LogField> fields;
-      fields.reserve(8);
+      fields.reserve(9);
       fields.emplace_back("conn", conn_id);
       fields.emplace_back("req", request_id);
       fields.emplace_back("verb", verb);
@@ -585,13 +616,22 @@ void Server::HandleConnection(int fd, uint64_t conn_id,
       fields.emplace_back("cache", cache);
       fields.emplace_back("queue_us", queue_us);
       fields.emplace_back("handle_us", handle_us);
+      fields.emplace_back("serialize_us", serialize_us);
       access_log_->Event(resp.status == "error" ? LogLevel::kWarning
                                                 : LogLevel::kInfo,
                          "serve", "request", fields);
     }
 
+    WallTimer write_timer;
     const bool wrote = WriteWire(fd, wire);
     if (!wrote) write_errors_.fetch_add(1, std::memory_order_relaxed);
+    // The write is timed after the record is logged, so it reaches the
+    // histograms and the slow ring but not the access log.
+    const uint64_t write_us =
+        static_cast<uint64_t>(write_timer.ElapsedMicros());
+    const uint64_t total_us = queue_us + handle_us + serialize_us + write_us;
+    metrics_.GetHistogram("serve.write_us").Record(write_us);
+    metrics_.GetHistogram("serve.total_us").Record(total_us);
     if (slow_ring_.capacity() > 0) {
       SlowRequest slow;
       slow.request_id = request_id;
@@ -601,6 +641,9 @@ void Server::HandleConnection(int fd, uint64_t conn_id,
       slow.bytes = wire.size();
       slow.queue_us = queue_us;
       slow.handle_us = handle_us;
+      slow.serialize_us = serialize_us;
+      slow.write_us = write_us;
+      slow.total_us = total_us;
       slow.detect_seconds = telemetry.detect_seconds;
       slow.segment_seconds = telemetry.segment_seconds;
       slow.mine_seconds = telemetry.mine_seconds;
@@ -1004,10 +1047,14 @@ std::string Server::BuildSlowPayload() const {
     out += ", \"status\": \"" + JsonEscape(slow.status) + "\"";
     out += ", \"cache\": \"" + JsonEscape(slow.cache) + "\"";
     out += StringPrintf(
-        ", \"bytes\": %llu, \"queue_us\": %llu, \"handle_us\": %llu",
+        ", \"bytes\": %llu, \"queue_us\": %llu, \"handle_us\": %llu, "
+        "\"serialize_us\": %llu, \"write_us\": %llu, \"total_us\": %llu",
         static_cast<unsigned long long>(slow.bytes),
         static_cast<unsigned long long>(slow.queue_us),
-        static_cast<unsigned long long>(slow.handle_us));
+        static_cast<unsigned long long>(slow.handle_us),
+        static_cast<unsigned long long>(slow.serialize_us),
+        static_cast<unsigned long long>(slow.write_us),
+        static_cast<unsigned long long>(slow.total_us));
     out += StringPrintf(
         ", \"detect_seconds\": %.6f, \"segment_seconds\": %.6f, "
         "\"mine_seconds\": %.6f, \"finalize_seconds\": %.6f}",

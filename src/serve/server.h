@@ -225,10 +225,11 @@ class Server {
   /// connection ends either way).
   bool ReadLine(int fd, std::string* buffer, std::string* line);
   void WriteResponse(int fd, const Response& response);
-  /// Writes one already-serialized wire line (terminator included).
+  /// Writes one framed wire line (head, shared body, tail) with one
+  /// vectored sendmsg per step, resuming short writes mid-part.
   /// False = the connection is dead (client hung up or stalled past the
   /// write deadline); the caller should wind the connection down.
-  bool WriteWire(int fd, const std::string& line);
+  bool WriteWire(int fd, const FramedResponse& wire);
   /// The `reload` and `healthz` verbs, answered by the server (not the
   /// QueryService) because they speak about generations.
   Response HandleReloadVerb(const Request& request);

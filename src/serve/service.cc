@@ -46,6 +46,17 @@ void FillDetectTimings(const DetectionTimings& timings,
 
 }  // namespace
 
+const DetectionBundle::GroupsExport& DetectionBundle::Export(
+    const Tpiin& net) const {
+  std::call_once(export_once_, [&] {
+    export_.text = RenderSuspiciousGroups(net, detection.groups);
+    export_.escaped =
+        std::make_shared<const std::string>(JsonEscape(export_.text));
+    export_rendered_.store(true, std::memory_order_release);
+  });
+  return export_;
+}
+
 bool TimeDegraded(const DetectionResult& detection) {
   for (const SubTpiinProfile& profile : detection.sub_profiles) {
     if (profile.skip == SubSkip::kDeadline ||
@@ -182,8 +193,6 @@ Result<std::shared_ptr<const DetectionBundle>> QueryService::GetBundle(
     bundle = std::make_shared<DetectionBundle>();
     bundle->scoring = ScoreDetection(net_, *detection);
     bundle->detection = std::move(*detection);
-    bundle->groups_payload =
-        RenderSuspiciousGroups(net_, bundle->detection.groups);
     // A deadline-truncated run reflects this machine's clock, not the
     // data; serving it once (marked degraded) is honest, caching it
     // would pin the degradation. A retired generation likewise answers
@@ -247,20 +256,23 @@ Response QueryService::HandleGroups(const Request& request,
       GetBundle(EffectiveBudget(request), telemetry);
   if (!bundle.ok()) return ErrorResponse(request, bundle.status());
   const DetectionResult& detection = (*bundle)->detection;
-  std::string payload;
   if (filter == kInvalidNode) {
     // The full susGroup.txt bytes (rendered once per bundle), so the
-    // batch artifact diffs clean.
-    payload = (*bundle)->groups_payload;
-  } else {
-    // The filtered view keeps the exact susGroup.txt line rendering and
-    // the exact detection order — a subsequence of the full payload.
-    for (const SuspiciousGroup& group : detection.groups) {
-      if (std::binary_search(group.members.begin(), group.members.end(),
-                             filter)) {
-        payload += group.Format(net_);
-        payload += "\n";
-      }
+    // batch artifact diffs clean; the wire carries the bundle's escaped
+    // copy as it is.
+    const DetectionBundle::GroupsExport& exported = (*bundle)->Export(net_);
+    Response resp = PayloadResponse(request, exported.text, detection.degraded);
+    resp.escaped_payload = exported.escaped;
+    return resp;
+  }
+  // The filtered view keeps the exact susGroup.txt line rendering and
+  // the exact detection order — a subsequence of the full payload.
+  std::string payload;
+  for (const SuspiciousGroup& group : detection.groups) {
+    if (std::binary_search(group.members.begin(), group.members.end(),
+                           filter)) {
+      payload += group.Format(net_);
+      payload += "\n";
     }
   }
   return PayloadResponse(request, std::move(payload), detection.degraded);

@@ -75,10 +75,31 @@ struct RequestTelemetry {
 struct DetectionBundle {
   DetectionResult detection;
   ScoringResult scoring;
-  /// The full susGroup.txt bytes, rendered once when the bundle is
-  /// built: a cached `groups` query costs one string copy, not a
-  /// re-render of a potentially multi-megabyte report.
-  std::string groups_payload;
+
+  /// The full susGroup.txt bytes and their JSON-escaped wire form.
+  struct GroupsExport {
+    std::string text;
+    std::shared_ptr<const std::string> escaped;
+  };
+
+  /// The full `groups` export, rendered and escaped on first use and
+  /// shared by every later request: a cached full `groups` costs one
+  /// copy of `text` (Response::payload) and none of the wire form.
+  /// Concurrent first requests render it once (std::call_once). A
+  /// bundle that only ever answers filtered `groups?company=` or
+  /// `explain` (what-if keys, typically) never renders it.
+  const GroupsExport& Export(const Tpiin& net) const;
+
+  /// Whether Export has rendered the export yet (introspection for
+  /// tests).
+  bool export_rendered() const {
+    return export_rendered_.load(std::memory_order_acquire);
+  }
+
+ private:
+  mutable std::once_flag export_once_;
+  mutable GroupsExport export_;
+  mutable std::atomic<bool> export_rendered_{false};
 };
 
 /// The cache/arena substrate shared by every generation a serving
@@ -139,6 +160,13 @@ class QueryService {
     return shared_->bundle_cache;
   }
   const LruCache<std::string>& sub_cache() const { return shared_->sub_cache; }
+
+  /// The cached bundle `request` would be answered from, or null; a
+  /// peek that moves no counter and no recency (tests).
+  std::shared_ptr<const DetectionBundle> PeekBundle(
+      const Request& request) const {
+    return shared_->bundle_cache.Peek(BundleKey(EffectiveBudget(request)));
+  }
 
   uint32_t snapshot_crc() const { return snapshot_crc_; }
 

@@ -16,9 +16,12 @@ struct SlowRequest {
   std::string verb;        ///< "malformed" when the line did not parse.
   std::string status;
   std::string cache;  ///< "none" | "hit" | "miss".
-  uint64_t bytes = 0;       ///< Serialized response line size.
-  uint64_t queue_us = 0;    ///< Admission-slot wait.
-  uint64_t handle_us = 0;   ///< Parse + evaluate + serialize (the rank key).
+  uint64_t bytes = 0;         ///< Response line size on the wire.
+  uint64_t queue_us = 0;      ///< Admission-slot wait.
+  uint64_t handle_us = 0;     ///< Parse + evaluate (the rank key).
+  uint64_t serialize_us = 0;  ///< FrameResponse.
+  uint64_t write_us = 0;      ///< Until the last byte is handed to the kernel.
+  uint64_t total_us = 0;      ///< queue + handle + serialize + write.
   double detect_seconds = 0;
   double segment_seconds = 0;
   double mine_seconds = 0;

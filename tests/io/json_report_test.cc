@@ -1,11 +1,39 @@
 #include "io/json_report.h"
 
+#include <cstdio>
+#include <random>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "datagen/worked_example.h"
 
 namespace tpiin {
 namespace {
+
+// The obvious one-byte-at-a-time escaper the bulk one must match.
+std::string ReferenceEscape(const std::string& text) {
+  std::string out;
+  for (char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
 
 TEST(JsonEscapeTest, EscapesSpecials) {
   EXPECT_EQ(JsonEscape("plain"), "plain");
@@ -13,6 +41,73 @@ TEST(JsonEscapeTest, EscapesSpecials) {
   EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
   EXPECT_EQ(JsonEscape("line\nbreak"), "line\\nbreak");
   EXPECT_EQ(JsonEscape(std::string("ctl\x01") + "x"), "ctl\\u0001x");
+}
+
+TEST(JsonEscapeTest, EmptyInputIsEmpty) {
+  EXPECT_EQ(JsonEscape(""), "");
+  std::string out = "kept";
+  AppendJsonEscaped("", &out);
+  EXPECT_EQ(out, "kept");
+}
+
+TEST(JsonEscapeTest, EveryControlByteIsEscaped) {
+  for (int c = 0; c < 0x20; ++c) {
+    const std::string byte(1, static_cast<char>(c));
+    std::string expected;
+    switch (c) {
+      case '\n': expected = "\\n"; break;
+      case '\r': expected = "\\r"; break;
+      case '\t': expected = "\\t"; break;
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        expected = buf;
+      }
+    }
+    EXPECT_EQ(JsonEscape(byte), expected) << "byte 0x" << std::hex << c;
+    // Mid-word too, so the eight-byte scan must find it.
+    EXPECT_EQ(JsonEscape("abcdefgh" + byte + "ijklmnop"),
+              "abcdefgh" + expected + "ijklmnop")
+        << "byte 0x" << std::hex << c;
+  }
+}
+
+TEST(JsonEscapeTest, DelAndUtf8HighBytesPassThrough) {
+  EXPECT_EQ(JsonEscape("\x7f"), "\x7f");
+  const std::string utf8 =
+      "\xe7\xa8\x8e\xe5\x8a\xa1 caf\xc3\xa9 \xf0\x9f\x92\xb0";
+  EXPECT_EQ(JsonEscape(utf8), utf8);
+  std::string every_high;
+  for (int c = 0x80; c < 0x100; ++c) every_high += static_cast<char>(c);
+  EXPECT_EQ(JsonEscape(every_high), every_high);
+}
+
+TEST(JsonEscapeTest, AppendKeepsThePrefix) {
+  std::string out = "{\"k\":\"";
+  AppendJsonEscaped("a\"b", &out);
+  EXPECT_EQ(out, "{\"k\":\"a\\\"b");
+}
+
+TEST(JsonEscapeTest, RandomInputsMatchTheReferenceEscaper) {
+  // Byte mixes from all-plain to all-special, every length 0..40 and
+  // some long ones, so runs start and end at every offset of a word.
+  std::mt19937 rng(20170402);
+  const std::string specials =
+      std::string("\"\\\n\r\t\x01\x1f\x7f\x80\xff", 10) + std::string(1, '\0');
+  for (int trial = 0; trial < 3000; ++trial) {
+    const size_t length = trial < 2000 ? trial % 41 : rng() % 5000;
+    const unsigned special_percent = rng() % 101;
+    std::string text;
+    for (size_t i = 0; i < length; ++i) {
+      if (rng() % 100 < special_percent) {
+        text += specials[rng() % specials.size()];
+      } else {
+        text += static_cast<char>(rng() % 256);
+      }
+    }
+    ASSERT_EQ(JsonEscape(text), ReferenceEscape(text))
+        << "trial " << trial << ", length " << length;
+  }
 }
 
 class JsonReportTest : public ::testing::Test {

@@ -4,9 +4,12 @@
 
 #include "serve/protocol.h"
 
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
+
+#include "common/string_util.h"
 
 namespace tpiin {
 namespace {
@@ -166,6 +169,68 @@ TEST(ProtocolTest, ResponseRoundTripIsByteExact) {
   EXPECT_EQ(parsed->verb, "groups");
   EXPECT_EQ(parsed->status, "degraded");
   EXPECT_EQ(parsed->payload, payload);
+}
+
+std::string Concatenated(const FramedResponse& framed) {
+  std::string line = framed.head;
+  if (framed.body != nullptr) line += *framed.body;
+  return line + framed.tail;
+}
+
+TEST(ProtocolTest, FramedPartsAreTheSerializedLine) {
+  // Every status, each with and without a shared escaped body: the
+  // three parts concatenate to SerializeResponse plus the terminator,
+  // and sharing the body changes no byte.
+  for (const char* status : {"ok", "degraded", "error", "busy"}) {
+    Response resp;
+    resp.id = 5;
+    // std::string temporaries, as in SerializeFixedKeyOrder (GCC 12's
+    // char-pointer assign warnings).
+    resp.request_id = std::string("c1-r2");
+    resp.verb = std::string("groups");
+    resp.status = std::string(status);
+    resp.payload = std::string("g1 \"quoted\"\tC1\\C2\n\x01\n");
+    if (resp.status == "error" || resp.status == "busy") {
+      resp.error = std::string("over \"capacity\"");
+    }
+    const std::string line = SerializeResponse(resp);
+    EXPECT_EQ(Concatenated(FrameResponse(resp)), line + "\n") << status;
+    EXPECT_EQ(FrameResponse(resp).body, nullptr) << status;
+
+    resp.escaped_payload =
+        std::make_shared<const std::string>(JsonEscape(resp.payload));
+    const FramedResponse shared = FrameResponse(resp);
+    EXPECT_EQ(Concatenated(shared), line + "\n") << status;
+    EXPECT_EQ(SerializeResponse(resp), line) << status;
+    const bool has_payload = resp.status == "ok" || resp.status == "degraded";
+    // The body is the response's own string, not a copy of it.
+    EXPECT_EQ(shared.body, has_payload ? resp.escaped_payload : nullptr)
+        << status;
+    EXPECT_EQ(shared.size(), line.size() + 1) << status;
+  }
+}
+
+TEST(ProtocolTest, LargeEscapedPayloadRoundTrips) {
+  // Long plain runs between escapes, as in a susGroup.txt export.
+  std::string payload;
+  for (int i = 0; i < 20000; ++i) {
+    payload += 'C';
+    payload += std::to_string(i);
+    payload += " -> [simple] \"p\\";
+    payload += std::to_string(i % 7);
+    payload += "\"\t\n";
+  }
+  Response resp;
+  resp.status = std::string("ok");
+  resp.payload = payload;
+  Result<Response> parsed = ParseResponseLine(SerializeResponse(resp));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->payload, payload);
+
+  // A raw control byte inside a plain run is still refused.
+  EXPECT_FALSE(
+      ParseResponseLine("{\"status\":\"ok\",\"payload\":\"abcdefgh\x01\"}")
+          .ok());
 }
 
 TEST(ProtocolTest, ParseResponseRequiresStatus) {

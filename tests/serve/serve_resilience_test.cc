@@ -271,6 +271,36 @@ TEST_F(ServeResilienceTest, EintrFailpointsRetryTransparently) {
   }
 }
 
+TEST_F(ServeResilienceTest, CachedGroupsWireIsExactUnderShortAndEintrWrites) {
+  // The cached full `groups` leaves as head + shared body + tail in
+  // one vectored write; 1-byte short writes walk the cursor through
+  // all three parts, and an injected EINTR must be retried. Either way
+  // the wire line is byte-identical to the clean one (only the request
+  // serial in "req" differs, and it is the same length).
+  std::unique_ptr<Server> server = StartServer();
+  ASSERT_NE(server, nullptr);
+  TestClient client = Connect(*server);
+  ASSERT_TRUE(client.SendLine("groups").ok());
+  Result<std::string> clean = client.ReadLine();  // Cold; renders.
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  ASSERT_NE(clean->find("\"req\":\"c1-r1\""), std::string::npos) << *clean;
+
+  const char* policies[] = {"serve.io.write.short:error",
+                            "serve.io.write.eintr:error"};
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(Failpoints::Configure(policies[i]).ok());
+    ASSERT_TRUE(client.SendLine("groups").ok());
+    Result<std::string> line = client.ReadLine();
+    Failpoints::Clear();
+    ASSERT_TRUE(line.ok()) << policies[i] << ": " << line.status().ToString();
+    std::string expected = *clean;
+    const std::string req = "c1-r" + std::to_string(i + 2);
+    expected.replace(expected.find("c1-r1"), req.size(), req);
+    EXPECT_EQ(*line, expected) << policies[i];
+  }
+  EXPECT_EQ(server->CurrentGeneration()->service->bundle_cache().hits(), 2u);
+}
+
 TEST_F(ServeResilienceTest, ReloadFaultKeepsOldGenerationServing) {
   // An injected reload failure (the serve.reload family the ASan smoke
   // drives) is a rejected candidate like any other: error answer on

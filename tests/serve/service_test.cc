@@ -18,9 +18,11 @@
 
 #include "cli/cli.h"
 #include "common/failpoint.h"
+#include "common/string_util.h"
 #include "datagen/province.h"
 #include "datagen/worked_example.h"
 #include "fusion/pipeline.h"
+#include "io/pattern_file.h"
 #include "snapshot/snapshot.h"
 
 namespace tpiin {
@@ -369,6 +371,76 @@ TEST_F(ServiceTest, DistinctBudgetsAreDistinctBundleCacheEntries) {
   EXPECT_EQ(service->bundle_cache().misses(), 2u);
   // Same answer either way — the cap did not bind.
   EXPECT_EQ(plain.payload, roomy_resp.payload);
+}
+
+TEST_F(ServiceTest, WhatIfCompanyQueryLeavesTheExportUnrendered) {
+  OpenProvinceSnapshot();
+  std::unique_ptr<QueryService> service = MakeService(1, true);
+  const std::string company = AnyCompanyLabel();
+
+  // A capped (non-binding) what-if on a fresh key builds a bundle, but
+  // a filtered answer never needs the full export.
+  Request whatif = MakeRequest("groups", company);
+  whatif.max_sub_nodes = 1 << 20;
+  Response filtered = service->Handle(whatif);
+  ASSERT_EQ(filtered.status, "ok") << filtered.error;
+  EXPECT_EQ(filtered.escaped_payload, nullptr);
+  std::shared_ptr<const DetectionBundle> bundle = service->PeekBundle(whatif);
+  ASSERT_NE(bundle, nullptr);
+  EXPECT_FALSE(bundle->export_rendered());
+
+  // The next full `groups` on that key renders it, exactly as batch
+  // does, and ships the escaped form alongside the raw text.
+  Request full = MakeRequest("groups");
+  full.max_sub_nodes = whatif.max_sub_nodes;
+  Response exported = service->Handle(full);
+  ASSERT_EQ(exported.status, "ok") << exported.error;
+  EXPECT_TRUE(bundle->export_rendered());
+  EXPECT_EQ(service->PeekBundle(full), bundle);
+  EXPECT_EQ(exported.payload,
+            RenderSuspiciousGroups(view_->net(), bundle->detection.groups));
+  EXPECT_EQ(exported.payload, BatchSusGroups());
+  ASSERT_NE(exported.escaped_payload, nullptr);
+  EXPECT_EQ(*exported.escaped_payload, JsonEscape(exported.payload));
+}
+
+TEST_F(ServiceTest, ConcurrentFirstFullGroupsRenderTheExportOnce) {
+  OpenProvinceSnapshot();
+  std::unique_ptr<QueryService> service = MakeService(0, true);
+  const std::string company = AnyCompanyLabel();
+  // Warm the bundle without its export, so every thread below races to
+  // be the first full `groups` on a cached bundle.
+  ASSERT_EQ(service->Handle(MakeRequest("groups", company)).status, "ok");
+  std::shared_ptr<const DetectionBundle> bundle =
+      service->PeekBundle(MakeRequest("groups"));
+  ASSERT_NE(bundle, nullptr);
+  ASSERT_FALSE(bundle->export_rendered());
+
+  constexpr int kThreads = 8;
+  std::atomic<bool> go{false};
+  std::vector<Response> responses(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      responses[i] = service->Handle(MakeRequest("groups"));
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& thread : threads) thread.join();
+
+  // One render: every thread was handed the one shared escaped string
+  // the bundle keeps.
+  const DetectionBundle::GroupsExport& exported =
+      bundle->Export(view_->net());
+  ASSERT_NE(exported.escaped, nullptr);
+  for (int i = 0; i < kThreads; ++i) {
+    ASSERT_EQ(responses[i].status, "ok") << responses[i].error;
+    EXPECT_EQ(responses[i].escaped_payload.get(), exported.escaped.get())
+        << "thread " << i;
+    EXPECT_EQ(responses[i].payload, exported.text) << "thread " << i;
+  }
 }
 
 TEST_F(ServiceTest, HealthzAlwaysOk) {

@@ -97,8 +97,10 @@ bool RoundTrip(int fd, const std::string& request, std::string* reply,
     sent += static_cast<size_t>(n);
   }
   reply->clear();
-  char chunk[4096];
-  while (reply->find('\n') == std::string::npos) {
+  // Only each new chunk is searched for the terminator, so a
+  // multi-megabyte answer costs linear time, not a rescan per recv.
+  char chunk[64 << 10];
+  while (true) {
     const ssize_t n = recv(fd, chunk, sizeof(chunk), 0);
     if (n == 0) {
       *error = "connection closed before a full response line";
@@ -109,10 +111,15 @@ bool RoundTrip(int fd, const std::string& request, std::string* reply,
       *error = std::string("recv: ") + std::strerror(errno);
       return false;
     }
-    reply->append(chunk, static_cast<size_t>(n));
+    const size_t got = static_cast<size_t>(n);
+    const char* newline =
+        static_cast<const char*>(std::memchr(chunk, '\n', got));
+    if (newline != nullptr) {
+      reply->append(chunk, static_cast<size_t>(newline - chunk));
+      return true;
+    }
+    reply->append(chunk, got);
   }
-  reply->resize(reply->find('\n'));
-  return true;
 }
 
 /// Label-free samples of a Prometheus text payload: "name value" lines
