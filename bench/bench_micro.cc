@@ -96,27 +96,6 @@ void BM_FusionPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_FusionPipeline)->Arg(2)->Arg(20);
 
-// Fusion with the multi-threaded stage schedule: independent relationship
-// layers build concurrently, the person union-find / investment SCC run
-// partitioned, and the CSR freeze builds its two halves as parallel
-// tasks. Output is bit-identical to the serial path (asserted by
-// tests/fusion/parallel_fusion_test.cc); only wall clock changes.
-void BM_FusionPipelineParallel(benchmark::State& state) {
-  if (SkipInSnapshotMode(state)) return;
-  const Fixture& fixture = GetFixture(ArgToProb(state.range(0)));
-  FusionOptions options;
-  options.validate_dataset = false;
-  options.num_threads = static_cast<uint32_t>(state.range(1));
-  for (auto _ : state) {
-    Result<FusionOutput> fused = BuildTpiin(fixture.dataset, options);
-    TPIIN_CHECK(fused.ok());
-    benchmark::DoNotOptimize(fused->tpiin.NumNodes());
-  }
-}
-BENCHMARK(BM_FusionPipelineParallel)
-    ->ArgsProduct({{2, 20}, {1, 2, 4}})
-    ->ArgNames({"p_mille", "threads"});
-
 // Tarjan over the CSR FrozenGraph view (the fusion pipeline's path).
 void BM_TarjanSccFrozen(benchmark::State& state) {
   const Fixture& fixture = GetFixture(0.002);

@@ -2,9 +2,9 @@
 // suspicious groups, swept over worker-thread counts.
 //
 // This is the serving-shaped number the parallel work targets: one
-// full pass of ingestion (LoadDatasetCsv), fusion (BuildTpiin with the
-// multi-threaded stage schedule) and mining (DetectSuspiciousGroups
-// with the per-subTPIIN worker fan-out plus a persistent ArenaPool).
+// full pass of ingestion (LoadDatasetCsv), serial fusion (BuildTpiin)
+// and mining (DetectSuspiciousGroups with the per-subTPIIN worker
+// fan-out plus a persistent ArenaPool; --threads drives this stage).
 // Findings are asserted identical across every thread count — the
 // parallel schedule is bit-for-bit the serial algorithm — so the sweep
 // isolates pure wall-clock scaling.
@@ -63,10 +63,8 @@ PassResult RunPass(const std::string& csv_dir, uint32_t threads,
   TPIIN_CHECK(dataset.ok()) << dataset.status().ToString();
   pass.load_s = timer.ElapsedSeconds();
 
-  FusionOptions fusion_options;
-  fusion_options.num_threads = threads;
   timer.Restart();
-  Result<FusionOutput> fused = BuildTpiin(*dataset, fusion_options);
+  Result<FusionOutput> fused = BuildTpiin(*dataset);
   TPIIN_CHECK(fused.ok()) << fused.status().ToString();
   pass.fuse_s = timer.ElapsedSeconds();
 

@@ -216,7 +216,6 @@ int RunOutOfCore(BenchJsonWriter& json, const OutOfCoreOptions& opt) {
       const std::string shard_dir = rung_dir + "/shards";
       ShardBuildOptions build;
       build.num_shards = opt.shards;
-      build.num_threads = opt.threads;
       timer.Restart();
       Result<ShardManifest> manifest =
           BuildShards(data_dir, shard_dir, build);

@@ -221,6 +221,7 @@ struct LoadedNet {
   Tpiin owned;
   std::unique_ptr<SnapshotView> view;
   double open_seconds = 0;
+  double open_cpu_seconds = 0;
   bool from_snapshot = false;
 
   const Tpiin& net() const { return view != nullptr ? view->net() : owned; }
@@ -231,7 +232,7 @@ struct LoadedNet {
   /// the `build` report's cold_start_ms for that comparison).
   void AddToReport(RunReport* report) const {
     report->AddStage(from_snapshot ? "snapshot_open" : "load_net",
-                     open_seconds);
+                     open_seconds, open_cpu_seconds);
     ReportSection& section = report->Section("input");
     section.Set("source", from_snapshot ? "snapshot" : "edge_list");
     section.Set(from_snapshot ? "snapshot_open_ms" : "load_net_ms",
@@ -248,14 +249,14 @@ Result<LoadedNet> LoadNetwork(const FlagParser& flags,
         command + " requires exactly one of --net=FILE or --snapshot=FILE");
   }
   LoadedNet loaded;
-  WallTimer timer;
+  StageTimer timer;
   if (!snapshot_path.empty()) {
     TPIIN_ASSIGN_OR_RETURN(loaded.view, SnapshotView::Open(snapshot_path));
     loaded.from_snapshot = true;
   } else {
     TPIIN_ASSIGN_OR_RETURN(loaded.owned, ReadTpiinEdgeList(net_path));
   }
-  loaded.open_seconds = timer.ElapsedSeconds();
+  timer.Lap(&loaded.open_seconds, &loaded.open_cpu_seconds);
   return loaded;
 }
 
@@ -267,7 +268,6 @@ Status RunBuild(const std::vector<std::string>& args, std::ostream& out) {
   flags.DefineString("data", "", "CSV dataset directory to ingest+fuse");
   flags.DefineString("net", "", "TPIIN edge-list file (alternative input)");
   flags.DefineString("out", "", "snapshot output file");
-  flags.DefineInt64("threads", 0, "worker threads (0 = auto-detect)");
   flags.DefineBool("wcc-index", true,
                    "precompute the subTPIIN segmentation index");
   flags.DefineString("report", "", "machine-readable run report (JSON)");
@@ -286,36 +286,30 @@ Status RunBuild(const std::vector<std::string>& args, std::ostream& out) {
   obs.Begin();
 
   RunReport report("build");
-  report.set_threads(
-      ResolveThreadCount(static_cast<uint32_t>(flags.GetInt64("threads"))));
+  report.set_threads(1);
 
   // The cold start the snapshot replaces: CSV ingest + fusion (or the
   // edge-list parse).
   WallTimer cold_timer;
+  StageTimer stage;
   Tpiin net;
   if (!data_dir.empty()) {
-    WallTimer timer;
     TPIIN_ASSIGN_OR_RETURN(RawDataset dataset, LoadDatasetCsv(data_dir));
-    report.AddStage("load_csv", timer.ElapsedSeconds());
-    FusionOptions fusion;
-    fusion.num_threads = static_cast<uint32_t>(flags.GetInt64("threads"));
-    timer.Restart();
-    TPIIN_ASSIGN_OR_RETURN(FusionOutput fused, BuildTpiin(dataset, fusion));
-    report.AddStage("fuse", timer.ElapsedSeconds());
+    stage.Lap(&report, "load_csv");
+    TPIIN_ASSIGN_OR_RETURN(FusionOutput fused, BuildTpiin(dataset));
+    stage.Lap(&report, "fuse");
     out << fused.stats.ToString() << "\n";
     net = std::move(fused.tpiin);
   } else {
-    WallTimer timer;
     TPIIN_ASSIGN_OR_RETURN(net, ReadTpiinEdgeList(net_path));
-    report.AddStage("load_net", timer.ElapsedSeconds());
+    stage.Lap(&report, "load_net");
   }
   const double cold_start_s = cold_timer.ElapsedSeconds();
 
   SnapshotWriteOptions options;
   options.include_wcc_index = flags.GetBool("wcc-index");
-  WallTimer write_timer;
   TPIIN_RETURN_IF_ERROR(WriteSnapshot(net, flags.GetString("out"), options));
-  report.AddStage("snapshot_write", write_timer.ElapsedSeconds());
+  stage.Lap(&report, "snapshot_write");
 
   // Re-open what was just written: verifies the round trip end to end
   // and measures the open cost every later --snapshot run will pay.
@@ -323,7 +317,7 @@ Status RunBuild(const std::vector<std::string>& args, std::ostream& out) {
   TPIIN_ASSIGN_OR_RETURN(std::unique_ptr<SnapshotView> view,
                          SnapshotView::Open(flags.GetString("out")));
   const double open_s = open_timer.ElapsedSeconds();
-  report.AddStage("snapshot_open", open_s);
+  stage.Lap(&report, "snapshot_open");
 
   out << "snapshot written to " << flags.GetString("out") << " ("
       << view->file_size() << " bytes, " << net.NumNodes() << " nodes, "
@@ -406,7 +400,6 @@ Status RunFuse(const std::vector<std::string>& args, std::ostream& out) {
   FlagParser flags;
   flags.DefineString("data", "", "CSV dataset directory");
   flags.DefineString("out", "", "edge-list output file");
-  flags.DefineInt64("threads", 0, "worker threads (0 = auto-detect)");
   flags.DefineString("report", "", "machine-readable run report (JSON)");
   flags.DefineString("trace-out", "",
                      "Chrome trace_event JSON (chrome://tracing)");
@@ -418,17 +411,14 @@ Status RunFuse(const std::vector<std::string>& args, std::ostream& out) {
   obs.Begin();
   TPIIN_ASSIGN_OR_RETURN(RawDataset dataset,
                          LoadDatasetCsv(flags.GetString("data")));
-  FusionOptions fusion;
-  fusion.num_threads = static_cast<uint32_t>(flags.GetInt64("threads"));
-  TPIIN_ASSIGN_OR_RETURN(FusionOutput fused, BuildTpiin(dataset, fusion));
+  TPIIN_ASSIGN_OR_RETURN(FusionOutput fused, BuildTpiin(dataset));
   TPIIN_RETURN_IF_ERROR(
       WriteTpiinEdgeList(flags.GetString("out"), fused.tpiin));
   out << fused.stats.ToString() << "\n";
   out << "TPIIN written to " << flags.GetString("out") << "\n";
 
   RunReport report("fuse");
-  report.set_threads(
-      ResolveThreadCount(static_cast<uint32_t>(flags.GetInt64("threads"))));
+  report.set_threads(1);
   AddFusionToReport(fused, &report);
   return obs.Finish(&report, out);
 }
@@ -730,7 +720,6 @@ Status RunShardBuild(const std::vector<std::string>& args,
   flags.DefineString("data", "", "CSV dataset directory to shard");
   flags.DefineString("out", "", "output directory for the sharded build");
   flags.DefineInt64("shards", 4, "number of shards");
-  flags.DefineInt64("threads", 1, "threads inside each per-shard fusion");
   flags.DefineInt64("spill-buffer-kb", 1024,
                     "per-(shard, table) routing buffer");
   flags.DefineBool("keep-spill", false,
@@ -751,12 +740,9 @@ Status RunShardBuild(const std::vector<std::string>& args,
   ObsOutputs obs(flags);
   obs.Begin();
   RunReport report("shard_build");
-  report.set_threads(ResolveThreadCount(
-      static_cast<uint32_t>(std::max<int64_t>(0, flags.GetInt64("threads")))));
+  report.set_threads(1);
   ShardBuildOptions options;
   options.num_shards = static_cast<uint32_t>(flags.GetInt64("shards"));
-  options.num_threads =
-      static_cast<uint32_t>(std::max<int64_t>(1, flags.GetInt64("threads")));
   options.spill_buffer_bytes = static_cast<size_t>(
       std::max<int64_t>(4, flags.GetInt64("spill-buffer-kb")) * 1024);
   options.keep_spill = flags.GetBool("keep-spill");
@@ -839,6 +825,7 @@ Status RunShardMerge(const std::vector<std::string>& args,
   ObsOutputs obs(flags);
   obs.Begin();
   RunReport report("shard_merge");
+  report.set_threads(1);
   TPIIN_ASSIGN_OR_RETURN(
       ShardMergeStats stats,
       MergeShards(flags.GetString("dir"), flags.GetString("out"), &report));
@@ -1057,13 +1044,12 @@ std::string CliUsage() {
       "Commands:\n"
       "  gen     generate a synthetic province dataset (CSV)\n"
       "          --out=DIR [--companies=N] [--p=X] [--seed=S] [--plant=K]\n"
-      "  fuse    fuse a CSV dataset into a TPIIN edge list\n"
-      "          --data=DIR --out=FILE [--threads=T] [--report=FILE]\n"
-      "          [--trace-out=FILE]\n"
+      "  fuse    fuse a CSV dataset into a TPIIN edge list (serial)\n"
+      "          --data=DIR --out=FILE [--report=FILE] [--trace-out=FILE]\n"
       "  build   fuse once and persist a binary snapshot (mmap-able by\n"
       "          every command below via --snapshot)\n"
-      "          (--data=DIR | --net=FILE) --out=FILE [--threads=T]\n"
-      "          [--wcc-index=false] [--report=FILE] [--trace-out=FILE]\n"
+      "          (--data=DIR | --net=FILE) --out=FILE [--wcc-index=false]\n"
+      "          [--report=FILE] [--trace-out=FILE]\n"
       "  snapshot info FILE [--verify=false]\n"
       "          print a snapshot's header, section directory and\n"
       "          checksums without mapping the graph sections\n"
@@ -1082,7 +1068,7 @@ std::string CliUsage() {
       "          (--net=FILE | --snapshot=FILE)\n"
       "  shard build   out-of-core sharded build: plan, route, fuse one\n"
       "          shard at a time (peak RSS ~ largest shard)\n"
-      "          --data=DIR --out=DIR [--shards=N] [--threads=T]\n"
+      "          --data=DIR --out=DIR [--shards=N]\n"
       "          [--spill-buffer-kb=N] [--keep-spill] [--wcc-index=false]\n"
       "          [--report=FILE] [--trace-out=FILE]\n"
       "  shard detect  mine every shard, one result file per shard\n"

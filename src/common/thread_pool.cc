@@ -198,35 +198,6 @@ Status ThreadPool::ParallelForChecked(
   return Status::OK();
 }
 
-Status ThreadPool::RunTasksChecked(
-    std::span<const std::function<Status()>> tasks, uint32_t parallelism,
-    CancelToken* cancel) {
-  return ParallelForChecked(
-      tasks.size(), parallelism, [&](size_t i) { return tasks[i](); },
-      cancel);
-}
-
-void ThreadPool::ParallelForRanges(
-    size_t count, uint32_t parallelism,
-    const std::function<void(size_t, size_t)>& body) {
-  if (count == 0) return;
-  if (parallelism <= 1) {
-    body(0, count);
-    return;
-  }
-  // 8 chunks per thread keeps chunk-stealing balance without paying a
-  // cursor fetch per index.
-  const size_t chunks = std::min(count, size_t{parallelism} * 8);
-  ParallelFor(chunks, parallelism, [&](size_t c) {
-    body(count * c / chunks, count * (c + 1) / chunks);
-  });
-}
-
-void ThreadPool::RunTasks(std::span<const std::function<void()>> tasks,
-                          uint32_t parallelism) {
-  ParallelFor(tasks.size(), parallelism, [&](size_t i) { tasks[i](); });
-}
-
 ThreadPool& ThreadPool::Global() {
   // Intentionally leaked: workers park between jobs, and skipping the
   // destructor avoids static-destruction-order races with client code

@@ -7,7 +7,6 @@
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -16,10 +15,10 @@
 namespace tpiin {
 
 /// Cooperative cancellation shared by the tasks of one parallel section.
-/// The checked ParallelFor/RunTasks variants cancel it on the first task
-/// failure so sibling tasks not yet started are skipped; callers can also
-/// cancel it from outside (a pipeline-level stop). Cancellation is a
-/// relaxed flag: tasks already running finish normally.
+/// ParallelForChecked cancels it on the first task failure so sibling
+/// tasks not yet started are skipped; callers can also cancel it from
+/// outside (a pipeline-level stop). Cancellation is a relaxed flag:
+/// tasks already running finish normally.
 class CancelToken {
  public:
   void Cancel() { cancelled_.store(true, std::memory_order_relaxed); }
@@ -86,30 +85,6 @@ class ThreadPool {
   Status ParallelForChecked(size_t count, uint32_t parallelism,
                             const std::function<Status(size_t)>& body,
                             CancelToken* cancel = nullptr);
-
-  /// Fallible heterogeneous-stage variant of RunTasks: all tasks are
-  /// attempted (unless one fails first and cancellation skips the rest),
-  /// the lowest-indexed captured error is returned.
-  Status RunTasksChecked(std::span<const std::function<Status()>> tasks,
-                         uint32_t parallelism,
-                         CancelToken* cancel = nullptr);
-
-  /// Chunked variant for fine-grained loops: splits [0, count) into
-  /// contiguous ranges (a few per participating thread) and runs
-  /// body(lo, hi) once per range, so tiny per-index bodies don't pay one
-  /// shared-cursor fetch per index. With parallelism <= 1 the whole
-  /// range runs inline as body(0, count).
-  void ParallelForRanges(size_t count, uint32_t parallelism,
-                         const std::function<void(size_t, size_t)>& body);
-
-  /// Runs a small set of heterogeneous stage tasks concurrently (the
-  /// fusion pipeline's independent layer builds, a FrozenGraph's out/in
-  /// CSR halves, ...). The caller participates and the call blocks until
-  /// every task has run. With parallelism <= 1 the tasks run inline on
-  /// the caller in list order, so a serial configuration executes the
-  /// exact same code path deterministically.
-  void RunTasks(std::span<const std::function<void()>> tasks,
-                uint32_t parallelism);
 
   /// Shared process-wide pool, sized to the hardware concurrency and
   /// created on first use; never destroyed (workers park on the queue's

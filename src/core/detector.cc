@@ -88,23 +88,15 @@ Result<DetectionResult> DetectSuspiciousGroups(const Tpiin& net,
   DetectionResult result;
   result.total_trading_arcs = net.num_trading_arcs();
   WallTimer total_timer;
-  WallTimer stage_timer;
-  double stage_cpu = ProcessCpuSeconds();
-  const auto close_stage = [&](double* wall_sink, double* cpu_sink) {
-    *wall_sink = stage_timer.ElapsedSeconds();
-    const double cpu_now = ProcessCpuSeconds();
-    *cpu_sink = cpu_now - stage_cpu;
-    stage_timer.Restart();
-    stage_cpu = cpu_now;
-  };
+  StageTimer stage_timer;
 
   std::vector<SubTpiin> subs;
   {
     TPIIN_SPAN("segment");
     subs = SegmentTpiin(net, SegmentOptions{}, &result.segment_stats);
   }
-  close_stage(&result.timings.segment_seconds,
-              &result.timings.segment_cpu_seconds);
+  stage_timer.Lap(&result.timings.segment_seconds,
+                  &result.timings.segment_cpu_seconds);
   result.num_subtpiins = subs.size();
   TPIIN_COUNTER_ADD("detect.subtpiins", subs.size());
 
@@ -197,8 +189,8 @@ Result<DetectionResult> DetectSuspiciousGroups(const Tpiin& net,
         subs.size(), ResolveThreadCount(options.num_threads), process_one,
         &cancel));
   }
-  close_stage(&result.timings.mine_seconds,
-              &result.timings.mine_cpu_seconds);
+  stage_timer.Lap(&result.timings.mine_seconds,
+                  &result.timings.mine_cpu_seconds);
 
   TraceSpan finalize_span("finalize");
   result.sub_profiles.reserve(subs.size());
@@ -268,8 +260,8 @@ Result<DetectionResult> DetectSuspiciousGroups(const Tpiin& net,
     }
   }
 
-  close_stage(&result.timings.finalize_seconds,
-              &result.timings.finalize_cpu_seconds);
+  stage_timer.Lap(&result.timings.finalize_seconds,
+                  &result.timings.finalize_cpu_seconds);
   result.timings.total_seconds = total_timer.ElapsedSeconds();
   TPIIN_COUNTER_ADD("detect.trails", result.num_trails);
   TPIIN_COUNTER_ADD("detect.groups", result.TotalGroups());

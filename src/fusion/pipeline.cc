@@ -1,13 +1,9 @@
 #include "fusion/pipeline.h"
 
-#include <array>
-#include <functional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/failpoint.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "fusion/layers.h"
 #include "graph/frozen.h"
@@ -20,10 +16,6 @@
 namespace tpiin {
 
 namespace {
-
-uint64_t PairKey(NodeId a, NodeId b) {
-  return (static_cast<uint64_t>(a) << 32) | b;
-}
 
 // Builds a syndicate display label from member names: a single member
 // keeps its own name; merged members render as "{a+b+c}".
@@ -67,122 +59,82 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
     TPIIN_FAILPOINT("fusion.validate");
     TPIIN_RETURN_IF_ERROR(dataset.Validate());
   }
-  const uint32_t threads = ResolveThreadCount(options.num_threads);
 
   FusionStats stats;
   FusionTimings timings;
-  WallTimer stage_timer;
-  double stage_cpu = ProcessCpuSeconds();
-  const auto close_stage = [&](double* wall_sink, double* cpu_sink) {
-    *wall_sink = stage_timer.ElapsedSeconds();
-    const double cpu_now = ProcessCpuSeconds();
-    *cpu_sink = cpu_now - stage_cpu;
-    stage_timer.Restart();
-    stage_cpu = cpu_now;
-  };
+  StageTimer stage_timer;
   const NodeId num_persons = static_cast<NodeId>(dataset.persons().size());
   const NodeId num_companies =
       static_cast<NodeId>(dataset.companies().size());
 
-  // --- Stage A: the relationship layers are independent views of the
-  // raw dataset, so their builds — and the contractions that only
-  // depend on one layer — run as concurrent tasks. Every task writes to
-  // its own slots; all stats are derived serially afterwards, so the
-  // output is identical at any thread count.
+  // --- Stage A: the relationship layers and the contractions that only
+  // depend on one layer.
   ArcList g1;
   std::vector<NodeId> person_component;
   NodeId num_person_nodes = 0;
-  ArcList gi;
   SccResult scc;
-  std::vector<double> influence_weight(dataset.influence().size());
+  std::vector<double> influence_weight;
   std::unordered_map<NodeId, std::vector<InvestmentArc>> internal_of_component;
-
-  const std::array<std::function<Status()>, 3> layer_tasks = {
-      // G1 (kinship + interlocking) + edge contraction: connected
-      // components of the interdependence graph become person
-      // syndicates. Repeated pairwise edge contraction (the paper's
-      // formulation) and union-find produce the same partition; see
-      // bench_ablation for the comparison.
-      [&]() -> Status {
-        TPIIN_FAILPOINT("fusion.layer.g1");
-        g1 = BuildInterdependenceGraph(dataset);
-        UnionFind person_uf = UnionArcs(num_persons, g1.arcs, threads);
-        person_component = person_uf.DenseComponentIds();
-        num_person_nodes = person_uf.NumSets();
-        return Status::OK();
-      },
-      // GI + Tarjan SCC contraction: strongly connected investment
-      // subgraphs become company syndicates. Tarjan runs over the CSR
-      // view (one contiguous target array instead of per-node id
-      // vectors), partition-parallel when threads allow.
-      [&]() -> Status {
-        TPIIN_FAILPOINT("fusion.layer.gi");
-        gi = BuildInvestmentGraph(dataset);
-        FrozenGraph frozen_gi(gi, 1, threads);
-        scc = StronglyConnectedComponents(frozen_gi, FrozenArcClass::kAll,
-                                          threads);
-
-        // Internal investment arcs of each nontrivial SCC, collected in
-        // one O(arcs) pass (the previous per-syndicate scan over all of
-        // GI was O(syndicates x arcs)). Bucket order is arc-id order,
-        // matching the original scan, so proof chains come out identical.
-        for (NodeId comp : scc.nontrivial_components) {
-          internal_of_component.emplace(comp, std::vector<InvestmentArc>());
-        }
-        for (const Arc& arc : gi.arcs) {
-          NodeId comp = scc.component_of[arc.src];
-          if (comp != scc.component_of[arc.dst]) continue;
-          auto it = internal_of_component.find(comp);
-          if (it == internal_of_component.end()) {
-            continue;  // Trivial SCC self-loop.
-          }
-          it->second.push_back(InvestmentArc{static_cast<CompanyId>(arc.src),
-                                             static_cast<CompanyId>(arc.dst)});
-        }
-        return Status::OK();
-      },
-      // Influence layer (G2): per-record arc weights, implementing §7's
-      // future-work edge weighting — a legal-person link is full
-      // strength, director-type links are weaker.
-      [&]() -> Status {
-        TPIIN_FAILPOINT("fusion.layer.g2");
-        const std::vector<InfluenceRecord>& influence = dataset.influence();
-        ThreadPool::Global().ParallelForRanges(
-            influence.size(), threads, [&](size_t lo, size_t hi) {
-              for (size_t i = lo; i < hi; ++i) {
-                const InfluenceRecord& rec = influence[i];
-                double weight = 1.0;
-                if (!rec.is_legal_person) {
-                  switch (rec.kind) {
-                    case InfluenceKind::kCeoAndDirectorOf:
-                      weight = 0.9;
-                      break;
-                    case InfluenceKind::kCeoOf:
-                    case InfluenceKind::kChairmanOf:
-                      weight = 0.8;
-                      break;
-                    case InfluenceKind::kDirectorOf:
-                      weight = 0.6;
-                      break;
-                  }
-                }
-                influence_weight[i] = weight;
-              }
-            });
-        return Status::OK();
-      },
-  };
   {
     TPIIN_SPAN("fuse_layers");
-    // Checked run: a failing layer task (or a thrown exception inside
-    // one) surfaces as this function's Status instead of crashing the
-    // pool; the cancel token lets the sibling layer builds that have not
-    // started yet exit early.
-    CancelToken cancel;
-    TPIIN_RETURN_IF_ERROR(
-        ThreadPool::Global().RunTasksChecked(layer_tasks, threads, &cancel));
+    // G1 (kinship + interlocking) + edge contraction: connected
+    // components of the interdependence graph become person syndicates.
+    // Repeated pairwise edge contraction (the paper's formulation) and
+    // union-find produce the same partition; see bench_ablation for the
+    // comparison.
+    TPIIN_FAILPOINT("fusion.layer.g1");
+    g1 = BuildInterdependenceGraph(dataset);
+    UnionFind person_uf = UnionArcs(num_persons, g1.arcs);
+    person_component = person_uf.DenseComponentIds();
+    num_person_nodes = person_uf.NumSets();
+
+    // GI + Tarjan SCC contraction: strongly connected investment
+    // subgraphs become company syndicates.
+    TPIIN_FAILPOINT("fusion.layer.gi");
+    const ArcList gi = BuildInvestmentGraph(dataset);
+    scc = StronglyConnectedComponents(FrozenGraph(gi));
+
+    // Internal investment arcs of each nontrivial SCC, collected in one
+    // O(arcs) pass, each bucket in arc-id order.
+    for (NodeId comp : scc.nontrivial_components) {
+      internal_of_component.emplace(comp, std::vector<InvestmentArc>());
+    }
+    for (const Arc& arc : gi.arcs) {
+      NodeId comp = scc.component_of[arc.src];
+      if (comp != scc.component_of[arc.dst]) continue;
+      auto it = internal_of_component.find(comp);
+      if (it == internal_of_component.end()) {
+        continue;  // Trivial SCC self-loop.
+      }
+      it->second.push_back(InvestmentArc{static_cast<CompanyId>(arc.src),
+                                         static_cast<CompanyId>(arc.dst)});
+    }
+
+    // Influence layer (G2): per-record arc weights, implementing §7's
+    // future-work edge weighting — a legal-person link is full strength,
+    // director-type links are weaker.
+    TPIIN_FAILPOINT("fusion.layer.g2");
+    influence_weight.reserve(dataset.influence().size());
+    for (const InfluenceRecord& rec : dataset.influence()) {
+      double weight = 1.0;
+      if (!rec.is_legal_person) {
+        switch (rec.kind) {
+          case InfluenceKind::kCeoAndDirectorOf:
+            weight = 0.9;
+            break;
+          case InfluenceKind::kCeoOf:
+          case InfluenceKind::kChairmanOf:
+            weight = 0.8;
+            break;
+          case InfluenceKind::kDirectorOf:
+            weight = 0.6;
+            break;
+        }
+      }
+      influence_weight.push_back(weight);
+    }
   }
-  close_stage(&timings.layers_seconds, &timings.layers_cpu_seconds);
+  stage_timer.Lap(&timings.layers_seconds, &timings.layers_cpu_seconds);
 
   stats.g1_nodes = num_persons;
   stats.g1_edges = g1.NumArcs();
@@ -196,9 +148,7 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
 
   // --- Stage B: assemble TPIIN nodes, person syndicates first, then
   // company (syndicate) nodes, so arc ids and node ids stay grouped by
-  // color. Syndicate member lists and display labels are precomputed in
-  // parallel (index-addressed, so deterministic); the builder inserts
-  // serially to keep node ids sequential.
+  // color.
   TpiinBuilder builder;
   std::vector<NodeId> person_node(num_persons, kInvalidNode);
   std::vector<NodeId> company_node(num_companies, kInvalidNode);
@@ -209,50 +159,30 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
     for (PersonId p = 0; p < num_persons; ++p) {
       members[person_component[p]].push_back(p);
     }
-    std::vector<std::string> labels(num_person_nodes);
-    ThreadPool::Global().ParallelForRanges(
-        num_person_nodes, threads, [&](size_t lo, size_t hi) {
-          std::vector<std::string> names;
-          for (size_t c = lo; c < hi; ++c) {
-            names.clear();
-            names.reserve(members[c].size());
-            for (PersonId p : members[c]) {
-              names.push_back(dataset.persons()[p].name);
-            }
-            labels[c] = SyndicateLabel(names);
-          }
-        });
+    std::vector<std::string> names;
     for (NodeId c = 0; c < num_person_nodes; ++c) {
       if (members[c].size() > 1) {
         stats.persons_in_syndicates += members[c].size();
       }
-      NodeId id = builder.AddPersonNode(std::move(labels[c]), members[c]);
+      names.clear();
+      for (PersonId p : members[c]) {
+        names.push_back(dataset.persons()[p].name);
+      }
+      NodeId id = builder.AddPersonNode(SyndicateLabel(names), members[c]);
       for (PersonId p : members[c]) person_node[p] = id;
     }
   }
   {
     TPIIN_SPAN("fuse_assemble_companies");
-    std::vector<std::string> labels(num_company_nodes);
-    std::vector<std::vector<CompanyId>> ids(num_company_nodes);
-    ThreadPool::Global().ParallelForRanges(
-        num_company_nodes, threads, [&](size_t lo, size_t hi) {
-          std::vector<std::string> names;
-          for (size_t comp = lo; comp < hi; ++comp) {
-            const std::vector<NodeId>& comp_members = scc.members[comp];
-            names.clear();
-            names.reserve(comp_members.size());
-            ids[comp].reserve(comp_members.size());
-            for (NodeId c : comp_members) {
-              names.push_back(dataset.companies()[c].name);
-              ids[comp].push_back(static_cast<CompanyId>(c));
-            }
-            labels[comp] = SyndicateLabel(names);
-          }
-        });
+    std::vector<std::string> names;
     for (NodeId comp = 0; comp < num_company_nodes; ++comp) {
-      NodeId id = builder.AddCompanyNode(std::move(labels[comp]), ids[comp]);
-      for (CompanyId c : ids[comp]) company_node[c] = id;
-      if (ids[comp].size() > 1) {
+      std::vector<CompanyId> ids(scc.members[comp].begin(),
+                                 scc.members[comp].end());
+      names.clear();
+      for (CompanyId c : ids) names.push_back(dataset.companies()[c].name);
+      NodeId id = builder.AddCompanyNode(SyndicateLabel(names), ids);
+      for (CompanyId c : ids) company_node[c] = id;
+      if (ids.size() > 1) {
         // Keep the SCS-internal investment arcs: they carry the proof
         // chains for intra-syndicate suspicious trades.
         builder.SetInternalInvestments(
@@ -288,14 +218,14 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
 
   stats.antecedent_nodes = num_person_nodes + num_company_nodes;
   stats.antecedent_arcs = stats.influence_arcs + stats.investment_arcs;
-  close_stage(&timings.assemble_seconds, &timings.assemble_cpu_seconds);
+  stage_timer.Lap(&timings.assemble_seconds, &timings.assemble_cpu_seconds);
 
-  // --- Trading overlay (G4) mapped through the contraction. Stays
-  // serial: intra-syndicate trades are emitted per raw record (no
-  // dedup) and trading arc ids follow first-occurrence order, both of
-  // which a pre-deduplicating parallel pass would change.
+  // --- Trading overlay (G4) mapped through the contraction.
+  // Intra-syndicate trades are kept per raw record; AddTradingArc drops a
+  // repeated (seller node, buyer node) pair, so trading arc ids follow
+  // first occurrence.
   stats.trade_records = dataset.trades().size();
-  std::unordered_set<uint64_t> seen_trades;
+  const ArcId arcs_before_overlay = builder.NumArcsSoFar();
   {
     TPIIN_SPAN("fuse_overlay");
     for (const TradeRecord& rec : dataset.trades()) {
@@ -306,22 +236,21 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
         ++stats.intra_syndicate_trades;
         continue;
       }
-      if (!seen_trades.insert(PairKey(src, dst)).second) continue;
       builder.AddTradingArc(src, dst);
-      ++stats.trading_arcs;
     }
   }
-  close_stage(&timings.overlay_seconds, &timings.overlay_cpu_seconds);
+  stats.trading_arcs = builder.NumArcsSoFar() - arcs_before_overlay;
+  stage_timer.Lap(&timings.overlay_seconds, &timings.overlay_cpu_seconds);
 
   builder.SetEntityMaps(std::move(person_node), std::move(company_node));
   TPIIN_FAILPOINT("fusion.build");
   Result<Tpiin> built = [&]() {
     TPIIN_SPAN("fuse_build");
-    return builder.Build(threads);
+    return builder.Build();
   }();
   TPIIN_RETURN_IF_ERROR(built.status());
   Tpiin net = std::move(built).value();
-  close_stage(&timings.build_seconds, &timings.build_cpu_seconds);
+  stage_timer.Lap(&timings.build_seconds, &timings.build_cpu_seconds);
   timings.total_seconds = total_timer.ElapsedSeconds();
 
   TPIIN_GAUGE_SET("fusion.nodes", static_cast<int64_t>(net.NumNodes()));

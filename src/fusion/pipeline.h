@@ -16,13 +16,10 @@ struct FusionOptions {
   /// antecedent data twenty times with different trading layers).
   bool validate_dataset = true;
 
-  /// Worker threads for the parallel fusion stages: the independent
-  /// relationship-layer builds run as concurrent tasks, the person
-  /// edge-contraction uses the chunked union-find driver, the company
-  /// contraction the partition-parallel Tarjan, syndicate labels build
-  /// in parallel, and the final validation + CSR freeze run as
-  /// concurrent passes. 0 = auto-detect, 1 = fully serial. The TPIIN is
-  /// bit-identical at any value (tests/fusion/parallel_fusion_test.cc).
+  /// Has no effect: fusion is serial. Every parallel fusion construct
+  /// was measured to earn under 1.3x at 4 threads and was removed (the
+  /// README's "Parallel pipeline" section has the numbers). The field
+  /// stays so existing callers that assign it still compile.
   uint32_t num_threads = 1;
 };
 
@@ -66,7 +63,7 @@ struct FusionStats {
 /// so layers + assemble + overlay + build ~= total (the remainder is
 /// validation and stats bookkeeping).
 struct FusionTimings {
-  double layers_seconds = 0;    ///< Stage A: parallel layer builds.
+  double layers_seconds = 0;    ///< Stage A: layer builds + contractions.
   double assemble_seconds = 0;  ///< Stage B: nodes + antecedent arcs.
   double overlay_seconds = 0;   ///< Trading overlay (G4).
   double build_seconds = 0;     ///< Final validate + CSR freeze.

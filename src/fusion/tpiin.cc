@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <functional>
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "graph/topo.h"
 
 namespace tpiin {
@@ -136,7 +134,7 @@ void TpiinBuilder::SetEntityMaps(std::vector<NodeId> person_node,
   net_.company_node_.Assign(std::move(company_node));
 }
 
-Result<Tpiin> TpiinBuilder::Build(uint32_t num_threads) {
+Result<Tpiin> TpiinBuilder::Build() {
   if (failed_ordering_) {
     return Status::FailedPrecondition(
         "influence arcs must all precede trading arcs");
@@ -170,32 +168,22 @@ Result<Tpiin> TpiinBuilder::Build(uint32_t num_threads) {
   net_.arc_weight_.Seal();
   net_.intra_syndicate_trades_.Seal();
 
-  // The finalization passes only read the (now final) arc list, so they
-  // run as concurrent tasks; the freeze is speculative and simply
-  // discarded if validation fails.
-  Status arc_status = Status::OK();
-  const std::array<std::function<void()>, 3> passes = {
-      [&] { arc_status = ValidateArcs(); },
-      [&] {
-        std::vector<NodeId>& src = net_.arc_src_.vec();
-        std::vector<NodeId>& dst = net_.arc_dst_.vec();
-        src.reserve(arcs_.arcs.size());
-        dst.reserve(arcs_.arcs.size());
-        for (const Arc& arc : arcs_.arcs) {
-          src.push_back(arc.src);
-          dst.push_back(arc.dst);
-        }
-        net_.arc_src_.Seal();
-        net_.arc_dst_.Seal();
-      },
-      // Every traversal-heavy consumer (segmentation, WCC/SCC,
-      // incremental screening) reads the CSR view.
-      [&] { net_.frozen_ = FrozenGraph(arcs_, kArcInfluence, num_threads); },
-  };
-  ThreadPool::Global().RunTasks(passes, num_threads);
+  TPIIN_RETURN_IF_ERROR(ValidateArcs());
+  std::vector<NodeId>& src = net_.arc_src_.vec();
+  std::vector<NodeId>& dst = net_.arc_dst_.vec();
+  src.reserve(arcs_.arcs.size());
+  dst.reserve(arcs_.arcs.size());
+  for (const Arc& arc : arcs_.arcs) {
+    src.push_back(arc.src);
+    dst.push_back(arc.dst);
+  }
+  net_.arc_src_.Seal();
+  net_.arc_dst_.Seal();
+  // Every traversal-heavy consumer (segmentation, WCC/SCC, incremental
+  // screening) reads the CSR view.
+  net_.frozen_ = FrozenGraph(arcs_, kArcInfluence);
   arcs_ = ArcList{};
 
-  if (!arc_status.ok()) return arc_status;
   // Property 1 rests on the antecedent network being a DAG.
   if (!IsDag(net_.frozen_, FrozenArcClass::kInfluence)) {
     return Status::FailedPrecondition(

@@ -250,12 +250,10 @@ class TpiinBuilder {
 
   /// Validates and returns the network; the builder is consumed. An arc
   /// with an endpoint that is not a node fails with InvalidArgument
-  /// naming the arc. With num_threads > 1 the arc color validation and
-  /// the CSR freeze run as concurrent tasks on the shared ThreadPool
-  /// (they only read the arc list); the antecedent DAG check then runs
-  /// on the frozen influence spans. The returned network is identical
-  /// at any thread count.
-  Result<Tpiin> Build(uint32_t num_threads = 1);
+  /// naming the arc. The arc colors are validated before the endpoint
+  /// columns and the CSR are built; the antecedent DAG check then runs
+  /// on the frozen influence spans.
+  Result<Tpiin> Build();
 
  private:
   /// Returns the existing arc id for this (src, dst, color) key, or

@@ -1,9 +1,5 @@
 #include "graph/frozen.h"
 
-#include <array>
-#include <functional>
-
-#include "common/thread_pool.h"
 #include "obs/trace.h"
 
 namespace tpiin {
@@ -70,24 +66,16 @@ NodeId DstOf(const Arc& arc) { return arc.dst; }
 
 }  // namespace
 
-FrozenGraph::FrozenGraph(const ArcList& arcs, ArcColor influence_color,
-                         uint32_t num_threads)
+FrozenGraph::FrozenGraph(const ArcList& arcs, ArcColor influence_color)
     : num_nodes_(arcs.num_nodes),
       num_arcs_(arcs.NumArcs()),
       influence_color_(influence_color) {
   TPIIN_SPAN("freeze");
-  const std::array<std::function<void()>, 2> halves = {
-      [&] {
-        num_influence_arcs_ =
-            BuildHalf(arcs, influence_color_, SrcOf, DstOf, out_offsets_,
-                      out_influence_end_, out_targets_, out_arc_ids_);
-      },
-      [&] {
-        BuildHalf(arcs, influence_color_, DstOf, SrcOf, in_offsets_,
-                  in_influence_end_, in_sources_, in_arc_ids_);
-      },
-  };
-  ThreadPool::Global().RunTasks(halves, num_threads);
+  num_influence_arcs_ =
+      BuildHalf(arcs, influence_color_, SrcOf, DstOf, out_offsets_,
+                out_influence_end_, out_targets_, out_arc_ids_);
+  BuildHalf(arcs, influence_color_, DstOf, SrcOf, in_offsets_,
+            in_influence_end_, in_sources_, in_arc_ids_);
 }
 
 FrozenGraph::Parts FrozenGraph::parts() const {

@@ -51,12 +51,8 @@ class FrozenGraph {
   FrozenGraph() = default;
 
   /// Builds the CSR view; `influence_color` selects the partition color.
-  /// Every endpoint must be < arcs.num_nodes. With num_threads > 1 the
-  /// out and in halves — which touch disjoint arrays and only read the
-  /// list — are built as two concurrent tasks on the shared ThreadPool;
-  /// the resulting CSR is identical at any thread count.
-  explicit FrozenGraph(const ArcList& arcs, ArcColor influence_color = 1,
-                       uint32_t num_threads = 1);
+  /// Every endpoint must be < arcs.num_nodes.
+  explicit FrozenGraph(const ArcList& arcs, ArcColor influence_color = 1);
 
   /// The eight CSR arrays as raw spans, in a fixed order shared with
   /// FromParts. The snapshot writer serializes these verbatim; no other

@@ -8,7 +8,9 @@
 #include <variant>
 #include <vector>
 
+#include "common/timer.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace tpiin {
 
@@ -179,6 +181,35 @@ class RunReport {
   std::vector<std::pair<std::string, ReportTable>> tables_;
   MetricsSnapshot metrics_;
   bool has_metrics_ = false;
+};
+
+/// Wall + process-CPU stopwatch for pipeline stages, so a stage row
+/// never carries a placeholder CPU figure.
+class StageTimer {
+ public:
+  StageTimer() : cpu_start_(ProcessCpuSeconds()) {}
+
+  /// Stores the wall and process-CPU seconds since construction or the
+  /// previous Lap, then restarts.
+  void Lap(double* wall_seconds, double* cpu_seconds) {
+    const double cpu_now = ProcessCpuSeconds();
+    *wall_seconds = wall_.ElapsedSeconds();
+    *cpu_seconds = cpu_now - cpu_start_;
+    wall_.Restart();
+    cpu_start_ = cpu_now;
+  }
+
+  /// Lap recorded as stage `name` of `report` (skipped when null).
+  void Lap(RunReport* report, const std::string& name) {
+    double wall = 0;
+    double cpu = 0;
+    Lap(&wall, &cpu);
+    if (report != nullptr) report->AddStage(name, wall, cpu);
+  }
+
+ private:
+  WallTimer wall_;
+  double cpu_start_;
 };
 
 }  // namespace tpiin

@@ -10,7 +10,6 @@
 #include "common/csv.h"
 #include "common/failpoint.h"
 #include "common/string_util.h"
-#include "common/timer.h"
 #include "fusion/pipeline.h"
 #include "io/dataset_csv.h"
 #include "obs/report.h"
@@ -156,11 +155,11 @@ Result<ShardManifest> BuildShards(const std::string& data_dir,
   if (ec) return Status::IOError(out_dir + ": cannot create directory");
 
   // --- Pass 1: plan.
-  WallTimer timer;
+  StageTimer timer;
   ShardPlanOptions plan_options;
   plan_options.num_shards = options.num_shards;
   TPIIN_ASSIGN_OR_RETURN(ShardPlan plan, PlanShards(data_dir, plan_options));
-  if (report != nullptr) report->AddStage("shard_plan", timer.ElapsedSeconds());
+  timer.Lap(report, "shard_plan");
 
   ShardManifest manifest;
   manifest.num_shards = options.num_shards;
@@ -176,7 +175,6 @@ Result<ShardManifest> BuildShards(const std::string& data_dir,
   // --- Pass 2: route raw rows (verbatim — per-shard loads then remap
   // ids in global row order, which is what keeps every shard-local
   // structure an order-preserving restriction of the global one).
-  timer.Restart();
   SpillRouter router(out_dir, options.num_shards,
                      options.spill_buffer_bytes);
   TPIIN_RETURN_IF_ERROR(router.Init());
@@ -280,13 +278,10 @@ Result<ShardManifest> BuildShards(const std::string& data_dir,
   }
   TPIIN_RETURN_IF_ERROR(router.FlushAll());
   TPIIN_RETURN_IF_ERROR(flush_cross());
-  if (report != nullptr) {
-    report->AddStage("shard_route", timer.ElapsedSeconds());
-  }
+  timer.Lap(report, "shard_route");
 
   // --- Pass 3: load, fuse, snapshot one shard at a time. Peak RSS from
   // here on is the largest single shard, which is the point.
-  timer.Restart();
   // Global company id -> smallest global company id in its TPIIN node
   // (identity unless an investment SCC merged several companies): the
   // node-level key that makes cross-trade dedup agree with the
@@ -304,9 +299,7 @@ Result<ShardManifest> BuildShards(const std::string& data_dir,
     TPIIN_FAILPOINT("shard.fuse");
     TPIIN_ASSIGN_OR_RETURN(RawDataset dataset,
                            LoadDatasetCsv(SpillDirOf(out_dir, s)));
-    FusionOptions fusion;
-    fusion.num_threads = options.num_threads;
-    TPIIN_ASSIGN_OR_RETURN(FusionOutput fused, BuildTpiin(dataset, fusion));
+    TPIIN_ASSIGN_OR_RETURN(FusionOutput fused, BuildTpiin(dataset));
     const Tpiin& net = fused.tpiin;
 
     const std::string snapshot_path =
@@ -369,8 +362,8 @@ Result<ShardManifest> BuildShards(const std::string& data_dir,
   if (!options.keep_spill) {
     std::filesystem::remove_all(out_dir + "/spill", ec);
   }
+  timer.Lap(report, "shard_fuse");
   if (report != nullptr) {
-    report->AddStage("shard_fuse", timer.ElapsedSeconds());
     ReportSection& section = report->Section("shard");
     section.Set("num_shards", static_cast<int64_t>(manifest.num_shards));
     section.Set("components", static_cast<int64_t>(plan.num_components));

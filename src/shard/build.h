@@ -13,8 +13,9 @@ class RunReport;
 
 struct ShardBuildOptions {
   uint32_t num_shards = 1;
-  /// Worker threads for each per-shard fusion (shards themselves build
-  /// one at a time — that sequencing is the memory bound).
+  /// Has no effect: each shard's fusion is serial (FusionOptions::
+  /// num_threads), and shards build one at a time — that sequencing is
+  /// the memory bound. Kept so existing callers that assign it compile.
   uint32_t num_threads = 1;
   /// Per-(shard, table) routing buffer before an append flush. Small
   /// values bound router memory at high shard counts; large values cut

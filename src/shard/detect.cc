@@ -256,7 +256,7 @@ Result<CanonicalReport> ParseShardResult(const std::string& contents,
 Result<ShardDetectStats> DetectShards(const std::string& dir,
                                       const ShardDetectOptions& options,
                                       RunReport* report) {
-  WallTimer timer;
+  StageTimer timer;
   TPIIN_ASSIGN_OR_RETURN(ShardManifest manifest,
                          ReadShardManifest(dir + "/" + kShardManifestName));
   std::vector<uint32_t> live;
@@ -273,6 +273,7 @@ Result<ShardDetectStats> DetectShards(const std::string& dir,
 
   struct Outcome {
     uint64_t groups = 0;
+    double seconds = 0;
     bool degraded = false;
     bool truncated = false;
   };
@@ -281,6 +282,7 @@ Result<ShardDetectStats> DetectShards(const std::string& dir,
   Status status = ThreadPool::Global().ParallelForChecked(
       live.size(), shard_parallel, [&](size_t i) -> Status {
         TPIIN_FAILPOINT("shard.detect");
+        WallTimer shard_timer;
         const uint32_t s = live[i];
         const std::string snapshot_path =
             dir + "/" + ExpandShardPath(manifest.path_template, s);
@@ -303,10 +305,13 @@ Result<ShardDetectStats> DetectShards(const std::string& dir,
         ScoringResult scoring = ScoreDetection(view->net(), detection);
         CanonicalReport canonical =
             BuildCanonicalReport(view->net(), detection, scoring, &gids);
-        outcomes[i] = Outcome{detection.TotalGroups(), detection.degraded,
-                              detection.truncated};
-        return WriteFileAtomic(ShardResultPath(dir, manifest, s),
-                               SerializeShardResult(s, canonical));
+        TPIIN_RETURN_IF_ERROR(
+            WriteFileAtomic(ShardResultPath(dir, manifest, s),
+                            SerializeShardResult(s, canonical)));
+        outcomes[i] =
+            Outcome{detection.TotalGroups(), shard_timer.ElapsedSeconds(),
+                    detection.degraded, detection.truncated};
+        return Status::OK();
       });
   TPIIN_RETURN_IF_ERROR(status);
 
@@ -317,13 +322,22 @@ Result<ShardDetectStats> DetectShards(const std::string& dir,
     stats.degraded = stats.degraded || o.degraded;
     stats.truncated = stats.truncated || o.truncated;
   }
+  timer.Lap(report, "shard_detect");
   if (report != nullptr) {
-    report->AddStage("shard_detect", timer.ElapsedSeconds());
     ReportSection& section = report->Section("shard_detect");
     section.Set("shards", static_cast<int64_t>(stats.shards_detected));
     section.Set("groups", static_cast<int64_t>(stats.groups));
     section.Set("shard_parallel", static_cast<int64_t>(shard_parallel));
     section.Set("degraded", stats.degraded);
+    ReportTable& table =
+        report->AddTable("shards", {"shard", "groups", "seconds", "degraded"});
+    for (size_t i = 0; i < live.size(); ++i) {
+      table.AddRow()
+          .Append(live[i])
+          .Append(outcomes[i].groups)
+          .Append(outcomes[i].seconds)
+          .Append(outcomes[i].degraded);
+    }
   }
   return stats;
 }

@@ -6,7 +6,6 @@
 #include "common/atomic_file.h"
 #include "common/failpoint.h"
 #include "common/string_util.h"
-#include "common/timer.h"
 #include "obs/report.h"
 #include "shard/detect.h"
 #include "shard/manifest.h"
@@ -32,7 +31,7 @@ Result<ShardMergeStats> MergeShards(const std::string& dir,
                                     const std::string& out_path,
                                     RunReport* report) {
   TPIIN_FAILPOINT("shard.merge");
-  WallTimer timer;
+  StageTimer timer;
   TPIIN_ASSIGN_OR_RETURN(ShardManifest manifest,
                          ReadShardManifest(dir + "/" + kShardManifestName));
 
@@ -84,8 +83,8 @@ Result<ShardMergeStats> MergeShards(const std::string& dir,
   ShardMergeStats stats;
   stats.shards_merged = shards_merged;
   stats.summary = merged.summary;
+  timer.Lap(report, "shard_merge");
   if (report != nullptr) {
-    report->AddStage("shard_merge", timer.ElapsedSeconds());
     ReportSection& section = report->Section("shard_merge");
     section.Set("shards", static_cast<int64_t>(shards_merged));
     section.Set("trades", static_cast<int64_t>(merged.trades.size()));

@@ -28,7 +28,7 @@ double NumberAfter(const std::string& text, const std::string& key,
 }
 
 // A run report must carry a real wall clock: positive, and at least the
-// sum of the stage times it breaks down.
+// sum of the stage times it breaks down; and real CPU and thread figures.
 void ExpectTimedReport(const std::string& path, const std::string& tool) {
   SCOPED_TRACE(tool);
   const std::string json = ReadFileToString(path);
@@ -53,6 +53,19 @@ void ExpectTimedReport(const std::string& path, const std::string& tool) {
   }
   EXPECT_GT(num_stages, 0u) << json;
   EXPECT_GE(total, stage_sum) << json;
+
+  // No placeholder figures: every stage measured its CPU time, and the
+  // report names the thread count it ran with.
+  size_t num_cpu = 0;
+  for (size_t at = 0;;) {
+    const double cpu = NumberAfter(stages, "\"cpu_seconds\": ", &at);
+    if (cpu < 0) break;
+    EXPECT_GT(cpu, 0) << "stage " << num_cpu << ": " << json;
+    ++num_cpu;
+  }
+  EXPECT_EQ(num_cpu, num_stages) << json;
+  size_t threads_at = 0;
+  EXPECT_GE(NumberAfter(json, "\"threads\": ", &threads_at), 1) << json;
 }
 
 class CliTest : public ::testing::Test {
@@ -217,6 +230,13 @@ TEST_F(CliTest, MissingRequiredFlagsAreErrors) {
   EXPECT_TRUE(status.IsInvalidArgument());
   Run({"export", "--net=x"}, &status);
   EXPECT_TRUE(status.IsInvalidArgument());
+  // Fusion is serial: fuse and build take no --threads.
+  for (const char* command : {"fuse", "build"}) {
+    Run({command, "--data=x", "--out=y", "--threads=2"}, &status);
+    EXPECT_TRUE(status.IsInvalidArgument()) << command;
+    EXPECT_NE(status.message().find("--threads"), std::string::npos)
+        << command;
+  }
 }
 
 TEST_F(CliTest, BadFormatRejected) {

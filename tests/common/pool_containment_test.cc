@@ -1,7 +1,5 @@
 #include <atomic>
-#include <functional>
 #include <stdexcept>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -112,16 +110,6 @@ TEST(PoolContainmentTest, CheckedExceptionBecomesInternalStatus) {
     return Status::OK();
   });
   EXPECT_TRUE(status.IsInternal());
-}
-
-TEST(PoolContainmentTest, RunTasksCheckedReportsLowestFailure) {
-  ThreadPool pool(3);
-  std::vector<std::function<Status()>> tasks;
-  tasks.push_back([] { return Status::OK(); });
-  tasks.push_back([] { return Status::Corruption("stage b"); });
-  tasks.push_back([] { return Status::IOError("stage c"); });
-  Status status = pool.RunTasksChecked(tasks, 1);
-  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
 }
 
 TEST(PoolContainmentTest, CheckedForAllOkRunsEverything) {

@@ -1,6 +1,6 @@
-// Failpoint-driven fault injection through the parallel fusion pipeline:
-// a layer task that fails mid-flight must surface as a Status on the
-// caller, cancel its siblings, and leave the pool reusable.
+// Failpoint-driven fault injection through the fusion pipeline: a stage
+// that fails mid-flight must surface as a Status on the caller and leave
+// the pipeline reusable.
 
 #include <gtest/gtest.h>
 
@@ -24,13 +24,9 @@ TEST_F(FusionFailpointTest, LayerFaultSurfacesAsStatus) {
         "fusion.validate", "fusion.build"}) {
     ASSERT_TRUE(
         Failpoints::Configure(std::string(site) + ":error").ok());
-    for (uint32_t threads : {1u, 4u}) {
-      FusionOptions options;
-      options.num_threads = threads;
-      auto output = BuildTpiin(dataset, options);
-      EXPECT_FALSE(output.ok()) << site << " threads=" << threads;
-      EXPECT_TRUE(output.status().IsInternal()) << site;
-    }
+    auto output = BuildTpiin(dataset);
+    EXPECT_FALSE(output.ok()) << site;
+    EXPECT_TRUE(output.status().IsInternal()) << site;
     Failpoints::Clear();
   }
 }
@@ -38,13 +34,11 @@ TEST_F(FusionFailpointTest, LayerFaultSurfacesAsStatus) {
 TEST_F(FusionFailpointTest, PipelineRecoversAfterInjectedFault) {
   RawDataset dataset = BuildWorkedExampleDataset();
   ASSERT_TRUE(Failpoints::Configure("fusion.layer.g1:error").ok());
-  FusionOptions options;
-  options.num_threads = 4;
-  EXPECT_FALSE(BuildTpiin(dataset, options).ok());
+  EXPECT_FALSE(BuildTpiin(dataset).ok());
   Failpoints::Clear();
 
-  // The same pool and pipeline must produce a clean result afterwards.
-  auto output = BuildTpiin(dataset, options);
+  // The same pipeline must produce a clean result afterwards.
+  auto output = BuildTpiin(dataset);
   ASSERT_TRUE(output.ok()) << output.status().ToString();
   EXPECT_GT(output->tpiin.NumNodes(), 0u);
 }
@@ -53,10 +47,8 @@ TEST_F(FusionFailpointTest, NthHitFiresMidPipeline) {
   RawDataset dataset = BuildWorkedExampleDataset();
   // First build passes (the site's first hit is a no-op), second fails.
   ASSERT_TRUE(Failpoints::Configure("fusion.build:error@2").ok());
-  FusionOptions options;
-  options.num_threads = 2;
-  EXPECT_TRUE(BuildTpiin(dataset, options).ok());
-  EXPECT_FALSE(BuildTpiin(dataset, options).ok());
+  EXPECT_TRUE(BuildTpiin(dataset).ok());
+  EXPECT_FALSE(BuildTpiin(dataset).ok());
 }
 
 }  // namespace

@@ -1,14 +1,20 @@
-// FusionOptions::num_threads must be a pure performance knob: the
-// fused TPIIN — node ids, labels, membership lists, arc ids, colors,
-// weights and the build statistics — is bit-identical to the serial
-// pipeline at any thread count.
+// Fusion is serial, but callers run it concurrently: shard builds and
+// tools fuse several datasets at once in one process, which shares the
+// metrics registry, the tracer and the failpoint table. GetParam()
+// concurrent BuildTpiin calls on one dataset (0 = one per hardware
+// thread) must each give the TPIIN — node ids, labels, membership lists,
+// arc ids, colors, weights and the build statistics — of the call made
+// on the test thread ("serial").
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <vector>
 
 #include "datagen/province.h"
 #include "datagen/worked_example.h"
+#include "common/thread_pool.h"
 #include "fusion/pipeline.h"
 
 namespace tpiin {
@@ -56,19 +62,30 @@ void ExpectStatsEqual(const FusionStats& expected,
             expected.intra_syndicate_trades);
 }
 
+// Fuses `dataset` on the test thread and from `requested` pool threads
+// at once, and requires every concurrent result to equal the serial one.
+void ExpectConcurrentFusionIdentical(const RawDataset& dataset,
+                                     uint32_t requested) {
+  auto serial = BuildTpiin(dataset);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+
+  const uint32_t callers = ResolveThreadCount(requested);
+  std::vector<std::optional<Result<FusionOutput>>> concurrent(callers);
+  ThreadPool::Global().ParallelFor(callers, callers, [&](size_t i) {
+    concurrent[i].emplace(BuildTpiin(dataset));
+  });
+  for (std::optional<Result<FusionOutput>>& result : concurrent) {
+    ASSERT_TRUE(result.has_value());
+    ASSERT_TRUE(result->ok()) << result->status().ToString();
+    ExpectTpiinEqual(serial->tpiin, (*result)->tpiin);
+    ExpectStatsEqual(serial->stats, (*result)->stats);
+  }
+}
+
 class ParallelFusionTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(ParallelFusionTest, WorkedExampleIsIdentical) {
-  RawDataset dataset = BuildWorkedExampleDataset();
-  auto serial = BuildTpiin(dataset);
-  ASSERT_TRUE(serial.ok());
-
-  FusionOptions options;
-  options.num_threads = GetParam();
-  auto parallel = BuildTpiin(dataset, options);
-  ASSERT_TRUE(parallel.ok());
-  ExpectTpiinEqual(serial->tpiin, parallel->tpiin);
-  ExpectStatsEqual(serial->stats, parallel->stats);
+  ExpectConcurrentFusionIdentical(BuildWorkedExampleDataset(), GetParam());
 }
 
 TEST_P(ParallelFusionTest, RandomProvincesAreIdentical) {
@@ -77,52 +94,44 @@ TEST_P(ParallelFusionTest, RandomProvincesAreIdentical) {
     config.trading_probability = 0.02;
     auto province = GenerateProvince(config);
     ASSERT_TRUE(province.ok());
-
-    auto serial = BuildTpiin(province->dataset);
-    ASSERT_TRUE(serial.ok());
-    FusionOptions options;
-    options.num_threads = GetParam();
-    auto parallel = BuildTpiin(province->dataset, options);
-    ASSERT_TRUE(parallel.ok());
-    ExpectTpiinEqual(serial->tpiin, parallel->tpiin);
-    ExpectStatsEqual(serial->stats, parallel->stats);
+    ExpectConcurrentFusionIdentical(province->dataset, GetParam());
   }
 }
 
 TEST_P(ParallelFusionTest, AboveParallelThresholdProvinceIsIdentical) {
-  // Sized so the fused graph clears the parallel-engagement thresholds
-  // (2^13 nodes / 2^14 arcs) and the concurrent contraction/SCC/WCC
-  // drivers actually run, not just their serial fallbacks.
+  // Sized so the fused graph has more than 2^13 nodes and 2^14 arcs,
+  // the scale the removed parallel fusion drivers were built for.
   ProvinceConfig config = SmallProvinceConfig(6000, 3);
   config.trading_probability = 0.001;
   auto province = GenerateProvince(config);
   ASSERT_TRUE(province.ok());
-
-  auto serial = BuildTpiin(province->dataset);
-  ASSERT_TRUE(serial.ok());
-  FusionOptions options;
-  options.num_threads = GetParam();
-  auto parallel = BuildTpiin(province->dataset, options);
-  ASSERT_TRUE(parallel.ok());
-  ExpectTpiinEqual(serial->tpiin, parallel->tpiin);
-  ExpectStatsEqual(serial->stats, parallel->stats);
+  ExpectConcurrentFusionIdentical(province->dataset, GetParam());
 }
 
-// 0 = auto-detect; must behave like any explicit count.
+// 0 = one caller per hardware thread.
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelFusionTest,
                          ::testing::Values(0u, 2u, 4u, 8u));
 
 TEST(ParallelFusionTest, InvalidDatasetStillRejected) {
   RawDataset dataset = BuildWorkedExampleDataset();
-  // Out-of-range company in a trade record must fail identically with
-  // the concurrent validate/freeze passes.
+  // Out-of-range company in a trade record must fail identically for
+  // every concurrent caller, and as it does for a single call.
   std::vector<TradeRecord> trades = dataset.trades();
   trades.push_back(TradeRecord{9999, 0});
   dataset.SetTrades(std::move(trades));
-  FusionOptions options;
-  options.num_threads = 8;
-  auto result = BuildTpiin(dataset, options);
-  EXPECT_FALSE(result.ok());
+  auto serial = BuildTpiin(dataset);
+  ASSERT_FALSE(serial.ok());
+
+  constexpr size_t kCallers = 8;
+  std::vector<std::optional<Result<FusionOutput>>> concurrent(kCallers);
+  ThreadPool::Global().ParallelFor(kCallers, kCallers, [&](size_t i) {
+    concurrent[i].emplace(BuildTpiin(dataset));
+  });
+  for (std::optional<Result<FusionOutput>>& result : concurrent) {
+    ASSERT_TRUE(result.has_value());
+    EXPECT_FALSE(result->ok());
+    EXPECT_EQ(result->status().ToString(), serial.status().ToString());
+  }
 }
 
 }  // namespace

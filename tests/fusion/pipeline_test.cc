@@ -120,6 +120,58 @@ TEST(PipelineTest, TradingArcsDedupAndMapThroughContraction) {
   auto fused = BuildTpiin(data);
   ASSERT_TRUE(fused.ok());
   EXPECT_EQ(fused->stats.trading_arcs, 2u);
+
+  // C1 and C2 form an investment syndicate. Their trades with C3 map to
+  // one node pair per direction, so each direction gives one arc; the
+  // trades inside the syndicate are kept once per raw record.
+  RawDataset syndicate = BaseDataset();
+  syndicate.AddInvestment(0, 1, 0.6);
+  syndicate.AddInvestment(1, 0, 0.6);
+  syndicate.AddTrade(0, 2);
+  syndicate.AddTrade(0, 1);
+  syndicate.AddTrade(1, 2);
+  syndicate.AddTrade(2, 1);
+  syndicate.AddTrade(0, 1);  // Repeated intra-syndicate trade.
+  syndicate.AddTrade(2, 0);
+  fused = BuildTpiin(syndicate);
+  ASSERT_TRUE(fused.ok());
+  const Tpiin& net = fused->tpiin;
+  const NodeId syn = net.NodeOfCompany(0);
+  const NodeId c3 = net.NodeOfCompany(2);
+  EXPECT_EQ(fused->stats.trading_arcs, 2u);
+  ASSERT_EQ(net.num_trading_arcs(), 2u);
+  const ArcId first_trading = net.num_influence_arcs();
+  EXPECT_EQ(net.arc(first_trading).src, syn);
+  EXPECT_EQ(net.arc(first_trading).dst, c3);
+  EXPECT_EQ(net.arc(first_trading + 1).src, c3);
+  EXPECT_EQ(net.arc(first_trading + 1).dst, syn);
+  EXPECT_EQ(fused->stats.intra_syndicate_trades, 2u);
+  ASSERT_EQ(net.intra_syndicate_trades().size(), 2u);
+  for (const IntraSyndicateTrade& trade : net.intra_syndicate_trades()) {
+    EXPECT_EQ(trade.syndicate_node, syn);
+    EXPECT_EQ(trade.seller, 0u);
+    EXPECT_EQ(trade.buyer, 1u);
+  }
+
+  // Trading arc ids follow the first occurrence of each node pair.
+  RawDataset ordered = BaseDataset();
+  ordered.AddTrade(2, 0);
+  ordered.AddTrade(0, 1);
+  ordered.AddTrade(2, 0);
+  ordered.AddTrade(1, 2);
+  ordered.AddTrade(0, 1);
+  fused = BuildTpiin(ordered);
+  ASSERT_TRUE(fused.ok());
+  EXPECT_EQ(fused->stats.trading_arcs, 3u);
+  const Tpiin& ordered_net = fused->tpiin;
+  const ArcId first = ordered_net.num_influence_arcs();
+  ASSERT_EQ(ordered_net.NumArcs(), first + 3);
+  const std::pair<CompanyId, CompanyId> expected[] = {{2, 0}, {0, 1}, {1, 2}};
+  for (ArcId k = 0; k < 3; ++k) {
+    const Arc arc = ordered_net.arc(first + k);
+    EXPECT_EQ(arc.src, ordered_net.NodeOfCompany(expected[k].first)) << k;
+    EXPECT_EQ(arc.dst, ordered_net.NodeOfCompany(expected[k].second)) << k;
+  }
 }
 
 TEST(PipelineTest, WorkedExampleMatchesDirectConstruction) {

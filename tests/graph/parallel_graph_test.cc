@@ -1,13 +1,18 @@
-// The parallel graph drivers (partitioned Tarjan SCC, chunked-forest
-// WCC, chunked UnionArcs) promise bit-identical output to their serial
-// counterparts at any thread count. These tests exercise graphs above
-// the parallel-engagement thresholds (2^13 nodes / 2^14 arcs) so the
-// concurrent code paths actually run, plus small graphs that take the
-// serial fallback.
+// The graph drivers are serial, but callers run them concurrently on one
+// shared, read-only graph: serve answers what-if queries on connection
+// threads over one snapshot, and shard detection mines shards on pool
+// threads. These tests call SCC, WCC and UnionArcs from GetParam() pool
+// threads at once and require every call to match the one made on the
+// test thread ("serial"), and that answer to satisfy the decomposition's
+// defining property. The graphs keep the sizes (2^13+ nodes, 2^14+ arcs)
+// that once engaged the removed partition-parallel drivers.
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "graph/connected.h"
 #include "graph/frozen.h"
 #include "graph/scc.h"
@@ -18,8 +23,7 @@ namespace {
 
 // Random two-color digraph. Arcs are clustered inside blocks of
 // `block` nodes so the graph has many weakly connected partitions of
-// varying size — the shape the partition-parallel SCC driver fans out
-// over — with a sprinkle of long-range arcs to create big partitions.
+// varying size, with a sprinkle of long-range arcs to create big ones.
 ArcList RandomArcs(uint64_t seed, NodeId n, ArcId m, NodeId block) {
   Rng rng(seed);
   ArcList g{n, {}};
@@ -39,12 +43,49 @@ ArcList RandomArcs(uint64_t seed, NodeId n, ArcId m, NodeId block) {
   return g;
 }
 
+// Runs `fn` once per caller, `callers` of them at once on the shared
+// pool, and returns the results in caller order.
+template <typename Fn>
+auto CallConcurrently(uint32_t callers, const Fn& fn) {
+  std::vector<decltype(fn())> results(callers);
+  ThreadPool::Global().ParallelFor(callers, callers,
+                                   [&](size_t i) { results[i] = fn(); });
+  return results;
+}
+
 void ExpectSccEqual(const SccResult& expected, const SccResult& actual) {
   EXPECT_EQ(actual.num_components, expected.num_components);
   EXPECT_EQ(actual.component_of, expected.component_of);
   EXPECT_EQ(actual.members, expected.members);
   EXPECT_EQ(actual.nontrivial_components,
             expected.nontrivial_components);
+}
+
+// Tarjan's numbering is a reverse topological order of the
+// condensation, and members/component_of describe the same partition.
+void ExpectValidScc(const FrozenGraph& graph, FrozenArcClass arc_class,
+                    const SccResult& scc) {
+  ASSERT_EQ(scc.members.size(), scc.num_components);
+  for (NodeId c = 0; c < scc.num_components; ++c) {
+    for (NodeId v : scc.members[c]) ASSERT_EQ(scc.component_of[v], c);
+  }
+  for (NodeId u = 0; u < graph.NumNodes(); ++u) {
+    for (NodeId v : graph.OutClass(u, arc_class).nodes) {
+      ASSERT_GE(scc.component_of[u], scc.component_of[v])
+          << u << " -> " << v;
+    }
+  }
+}
+
+void CheckSccUnderConcurrency(const FrozenGraph& graph,
+                              FrozenArcClass arc_class, uint32_t callers) {
+  SccResult serial = StronglyConnectedComponents(graph, arc_class);
+  ExpectValidScc(graph, arc_class, serial);
+  for (const SccResult& concurrent : CallConcurrently(callers, [&] {
+         return StronglyConnectedComponents(graph, arc_class);
+       })) {
+    ExpectSccEqual(serial, concurrent);
+  }
 }
 
 class ParallelGraphTest : public ::testing::TestWithParam<uint32_t> {};
@@ -54,23 +95,15 @@ TEST_P(ParallelGraphTest, SccMatchesSerialAboveThreshold) {
     FrozenGraph frozen(RandomArcs(seed, /*n=*/20000, /*m=*/50000,
                                   /*block=*/64),
                        /*influence_color=*/1);
-    SccResult serial =
-        StronglyConnectedComponents(frozen, FrozenArcClass::kAll);
-    SccResult parallel = StronglyConnectedComponents(
-        frozen, FrozenArcClass::kAll, GetParam());
-    ExpectSccEqual(serial, parallel);
-
-    SccResult serial_infl =
-        StronglyConnectedComponents(frozen, FrozenArcClass::kInfluence);
-    SccResult parallel_infl = StronglyConnectedComponents(
-        frozen, FrozenArcClass::kInfluence, GetParam());
-    ExpectSccEqual(serial_infl, parallel_infl);
+    CheckSccUnderConcurrency(frozen, FrozenArcClass::kAll, GetParam());
+    CheckSccUnderConcurrency(frozen, FrozenArcClass::kInfluence,
+                             GetParam());
   }
 }
 
 TEST_P(ParallelGraphTest, SccMatchesSerialOnOneBigPartition) {
-  // A single weak partition forces the parallel driver through its
-  // single-partition fallback (nothing to fan out over).
+  // One weak partition: a 10k-node chain closed into big cycles by
+  // random back arcs.
   Rng rng(11);
   const NodeId n = 10000;
   ArcList g{n, {}};
@@ -80,19 +113,14 @@ TEST_P(ParallelGraphTest, SccMatchesSerialOnOneBigPartition) {
     NodeId dst = static_cast<NodeId>(rng.UniformU64(n));
     g.arcs.push_back(Arc{src, dst, 0});
   }
-  FrozenGraph frozen(g);
-  ExpectSccEqual(
-      StronglyConnectedComponents(frozen, FrozenArcClass::kAll),
-      StronglyConnectedComponents(frozen, FrozenArcClass::kAll,
-                                  GetParam()));
+  CheckSccUnderConcurrency(FrozenGraph(g), FrozenArcClass::kAll,
+                           GetParam());
 }
 
 TEST_P(ParallelGraphTest, SccMatchesSerialBelowThreshold) {
-  FrozenGraph frozen(RandomArcs(7, /*n=*/500, /*m=*/1500, /*block=*/16));
-  ExpectSccEqual(
-      StronglyConnectedComponents(frozen, FrozenArcClass::kAll),
-      StronglyConnectedComponents(frozen, FrozenArcClass::kAll,
-                                  GetParam()));
+  CheckSccUnderConcurrency(
+      FrozenGraph(RandomArcs(7, /*n=*/500, /*m=*/1500, /*block=*/16)),
+      FrozenArcClass::kAll, GetParam());
 }
 
 TEST_P(ParallelGraphTest, WccMatchesSerialAboveThreshold) {
@@ -103,11 +131,18 @@ TEST_P(ParallelGraphTest, WccMatchesSerialAboveThreshold) {
     for (FrozenArcClass arc_class :
          {FrozenArcClass::kAll, FrozenArcClass::kInfluence}) {
       WccResult serial = WeaklyConnectedComponents(frozen, arc_class);
-      WccResult parallel =
-          WeaklyConnectedComponents(frozen, arc_class, GetParam());
-      EXPECT_EQ(parallel.num_components, serial.num_components);
-      EXPECT_EQ(parallel.component_of, serial.component_of);
-      EXPECT_EQ(parallel.members, serial.members);
+      for (NodeId u = 0; u < frozen.NumNodes(); ++u) {
+        for (NodeId v : frozen.OutClass(u, arc_class).nodes) {
+          ASSERT_EQ(serial.component_of[u], serial.component_of[v]);
+        }
+      }
+      for (const WccResult& concurrent : CallConcurrently(GetParam(), [&] {
+             return WeaklyConnectedComponents(frozen, arc_class);
+           })) {
+        EXPECT_EQ(concurrent.num_components, serial.num_components);
+        EXPECT_EQ(concurrent.component_of, serial.component_of);
+        EXPECT_EQ(concurrent.members, serial.members);
+      }
     }
   }
 }
@@ -120,10 +155,15 @@ TEST_P(ParallelGraphTest, UnionArcsMatchesSerialAboveThreshold) {
     arcs.push_back(Arc{static_cast<NodeId>(rng.UniformU64(n)),
                        static_cast<NodeId>(rng.UniformU64(n)), 0});
   }
-  UnionFind serial = UnionArcs(n, arcs, 1);
-  UnionFind parallel = UnionArcs(n, arcs, GetParam());
-  EXPECT_EQ(parallel.NumSets(), serial.NumSets());
-  EXPECT_EQ(parallel.DenseComponentIds(), serial.DenseComponentIds());
+  UnionFind serial = UnionArcs(n, arcs);
+  const std::vector<NodeId> ids = serial.DenseComponentIds();
+  for (const Arc& arc : arcs) ASSERT_EQ(ids[arc.src], ids[arc.dst]);
+  for (const std::vector<NodeId>& concurrent :
+       CallConcurrently(GetParam(), [&] {
+         return UnionArcs(n, arcs).DenseComponentIds();
+       })) {
+    EXPECT_EQ(concurrent, ids);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelGraphTest,

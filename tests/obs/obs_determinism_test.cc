@@ -34,9 +34,7 @@ PipelineRun RunPipeline(const RawDataset& dataset, uint32_t num_threads,
   TraceRecorder recorder;
   if (traced) recorder.Install();
 
-  FusionOptions fusion;
-  fusion.num_threads = num_threads;
-  auto fused = BuildTpiin(dataset, fusion);
+  auto fused = BuildTpiin(dataset);
   EXPECT_TRUE(fused.ok());
 
   DetectorOptions detect;

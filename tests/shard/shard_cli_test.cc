@@ -5,6 +5,8 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -14,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "cli/cli.h"
+#include "shard/manifest.h"
 
 namespace tpiin {
 namespace {
@@ -22,6 +25,36 @@ std::string Slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
+}
+
+struct ShardRow {
+  uint64_t shard = 0;
+  uint64_t groups = 0;
+  double seconds = 0;
+  std::string degraded;
+};
+
+// The rows of a `shard detect --report`'s `shards` table.
+std::vector<ShardRow> ShardTableRows(const std::string& json) {
+  const std::string key =
+      "\"shards\": {\"columns\": [\"shard\", \"groups\", \"seconds\", "
+      "\"degraded\"], \"rows\": [";
+  std::vector<ShardRow> rows;
+  size_t at = json.find(key);
+  if (at == std::string::npos) return rows;
+  at += key.size();
+  while (at < json.size() && json[at] == '[') {
+    const size_t end = json.find(']', at);
+    std::string fields = json.substr(at + 1, end - at - 1);
+    std::replace(fields.begin(), fields.end(), ',', ' ');
+    std::istringstream in(fields);
+    ShardRow row;
+    in >> row.shard >> row.groups >> row.seconds >> row.degraded;
+    rows.push_back(row);
+    at = end + 1;
+    if (json.compare(at, 2, ", ") == 0) at += 2;
+  }
+  return rows;
 }
 
 class ShardCliTest : public ::testing::Test {
@@ -99,6 +132,44 @@ TEST_F(ShardCliTest, DegradedDetectExitsTwoAndMergePropagates) {
   EXPECT_EQ(exit_code, 2) << output;
 }
 
+TEST_F(ShardCliTest, DetectReportTablesEveryLiveShard) {
+  const std::string data = dir_ + "/data";
+  const std::string shards = dir_ + "/shards";
+  const std::string report = dir_ + "/detect_report.json";
+  Run({"gen", "--out=" + data, "--companies=200", "--p=0.03",
+       "--seed=13"});
+  Run({"shard", "build", "--data=" + data, "--out=" + shards,
+       "--shards=4"});
+  Run({"shard", "detect", "--dir=" + shards, "--shard-parallel=2",
+       "--report=" + report});
+
+  auto manifest = ReadShardManifest(shards + "/" + kShardManifestName);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  std::vector<uint64_t> live;
+  for (const ShardEntry& entry : manifest->shards) {
+    if (!entry.empty) live.push_back(entry.shard);
+  }
+  ASSERT_GT(live.size(), 1u);
+
+  const std::string json = Slurp(report);
+  const std::vector<ShardRow> rows = ShardTableRows(json);
+  ASSERT_EQ(rows.size(), live.size()) << json;
+  uint64_t groups = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].shard, live[i]);
+    EXPECT_GT(rows[i].seconds, 0) << i;
+    EXPECT_EQ(rows[i].degraded, "false") << i;
+    groups += rows[i].groups;
+  }
+  const std::string total_key = "\"shard_detect\": {\"shards\": ";
+  const size_t section = json.find(total_key);
+  ASSERT_NE(section, std::string::npos) << json;
+  const size_t groups_at = json.find("\"groups\": ", section);
+  ASSERT_NE(groups_at, std::string::npos);
+  EXPECT_GT(groups, 0u);
+  EXPECT_EQ(groups, std::strtoull(json.c_str() + groups_at + 10, nullptr, 10));
+}
+
 TEST_F(ShardCliTest, UsageErrors) {
   Status status;
   Run({"shard"}, &status);
@@ -107,6 +178,12 @@ TEST_F(ShardCliTest, UsageErrors) {
   EXPECT_TRUE(status.IsInvalidArgument());
   Run({"shard", "build", "--out=" + dir_ + "/x"}, &status);
   EXPECT_TRUE(status.IsInvalidArgument());
+  // Shard fusion is serial; the flag is gone.
+  Run({"shard", "build", "--data=" + dir_, "--out=" + dir_ + "/x",
+       "--threads=2"},
+      &status);
+  EXPECT_TRUE(status.IsInvalidArgument());
+  EXPECT_NE(status.message().find("--threads"), std::string::npos);
   Run({"shard", "detect", "--dir=" + dir_ + "/nonexistent"}, &status);
   EXPECT_FALSE(status.ok());
   Run({"shard", "merge", "--dir=" + dir_ + "/nonexistent",
