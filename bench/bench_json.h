@@ -88,7 +88,7 @@ class BenchJsonWriter {
     records_.push_back(StringPrintf(
         "  {\"bench\": \"%s\", \"case\": \"%s\", \"seconds\": %.9g, "
         "\"throughput\": %.9g}",
-        Escape(bench).c_str(), Escape(case_name).c_str(), seconds,
+        JsonEscape(bench).c_str(), JsonEscape(case_name).c_str(), seconds,
         throughput));
   }
 
@@ -151,16 +151,6 @@ class BenchJsonWriter {
   }
 
  private:
-  static std::string Escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    return out;
-  }
-
   struct Measurement {
     std::string bench;
     std::string case_name;

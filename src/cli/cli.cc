@@ -34,6 +34,7 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "serve/protocol.h"
 #include "serve/server.h"
 #include "shard/build.h"
 #include "shard/canonical.h"
@@ -51,25 +52,58 @@ Status ParseFlags(FlagParser& flags, const std::vector<std::string>& args) {
   return flags.Parse(static_cast<int>(argv.size()), argv.data());
 }
 
-// Consumes every --log-level flag (global: valid before or after the
-// command's own flags) and applies the last one.
-Status ApplyLogLevelFlag(std::vector<std::string>& args) {
-  constexpr const char* kPrefix = "--log-level=";
+// The integer flag `name`, raised to at least `floor`: a count, size or
+// thread number below it is clamped, not rejected.
+size_t FlagAtLeast(const FlagParser& flags, const std::string& name,
+                   int64_t floor) {
+  return static_cast<size_t>(std::max<int64_t>(floor, flags.GetInt64(name)));
+}
+
+// Consumes every occurrence of the global flag `--name` — valid before
+// or after the command's own flags, as `--name=V` or `--name V` — and
+// returns the values in order (empty when the flag is absent), so the
+// caller applies the last one.
+Result<std::vector<std::string>> ConsumeGlobalFlag(
+    std::vector<std::string>& args, const std::string& name) {
+  const std::string flag = "--" + name;
+  std::vector<std::string> values;
   for (auto it = args.begin(); it != args.end();) {
-    std::string value;
-    if (it->rfind(kPrefix, 0) == 0) {
-      value = it->substr(std::string(kPrefix).size());
+    if (it->rfind(flag + "=", 0) == 0) {
+      values.push_back(it->substr(flag.size() + 1));
       it = args.erase(it);
-    } else if (*it == "--log-level") {
+    } else if (*it == flag) {
       if (std::next(it) == args.end()) {
-        return Status::InvalidArgument("--log-level requires a value");
+        return Status::InvalidArgument(flag + " requires a value");
       }
-      value = *std::next(it);
+      values.push_back(*std::next(it));
       it = args.erase(it, it + 2);
     } else {
       ++it;
-      continue;
     }
+  }
+  return values;
+}
+
+// The process-wide structured-log sink installed by --log-json. Kept in
+// a static so it outlives every TPIIN_LOG statement (the LogBackend
+// contract); replaced — uninstall first, then swap — when a later
+// in-process RunCli passes the flag again.
+std::unique_ptr<JsonLogSink>& LogJsonSinkSlot() {
+  static std::unique_ptr<JsonLogSink> sink;
+  return sink;
+}
+
+// Consumes and applies the global flags. --log-level sets the minimum
+// severity (every occurrence must name a level). --log-json installs a
+// JSON log backend writing to the given path ("-" = stderr), upgrading
+// every TPIIN_LOG line in the process to one NDJSON event.
+// --failpoints installs a fault-injection spec; the failpoint registry
+// is only touched when the flag is present, so in-process callers
+// (tests driving RunCli) keep whatever configuration they installed.
+Status ApplyGlobalFlags(std::vector<std::string>& args) {
+  TPIIN_ASSIGN_OR_RETURN(std::vector<std::string> levels,
+                         ConsumeGlobalFlag(args, "log-level"));
+  for (const std::string& value : levels) {
     if (value == "debug") {
       SetLogLevel(LogLevel::kDebug);
     } else if (value == "info") {
@@ -84,92 +118,39 @@ Status ApplyLogLevelFlag(std::vector<std::string>& args) {
           " (expected debug|info|warning|error)");
     }
   }
-  return Status::OK();
-}
-
-// The process-wide structured-log sink installed by --log-json. Kept in
-// a static so it outlives every TPIIN_LOG statement (the LogBackend
-// contract); replaced — uninstall first, then swap — when a later
-// in-process RunCli passes the flag again.
-std::unique_ptr<JsonLogSink>& LogJsonSinkSlot() {
-  static std::unique_ptr<JsonLogSink> sink;
-  return sink;
-}
-
-// Consumes every --log-json flag (global: valid before or after the
-// command's own flags) and installs a JSON log backend writing to the
-// last given path ("-" = stderr), upgrading every TPIIN_LOG line in the
-// process to one NDJSON event.
-Status ApplyLogJsonFlag(std::vector<std::string>& args) {
-  constexpr const char* kPrefix = "--log-json=";
-  bool seen = false;
-  std::string path;
-  for (auto it = args.begin(); it != args.end();) {
-    if (it->rfind(kPrefix, 0) == 0) {
-      path = it->substr(std::string(kPrefix).size());
-      seen = true;
-      it = args.erase(it);
-    } else if (*it == "--log-json") {
-      if (std::next(it) == args.end()) {
-        return Status::InvalidArgument("--log-json requires a value");
-      }
-      path = *std::next(it);
-      seen = true;
-      it = args.erase(it, it + 2);
-    } else {
-      ++it;
-    }
+  TPIIN_ASSIGN_OR_RETURN(std::vector<std::string> log_json,
+                         ConsumeGlobalFlag(args, "log-json"));
+  if (!log_json.empty()) {
+    std::string error;
+    std::unique_ptr<JsonLogSink> sink =
+        JsonLogSink::Open(log_json.back(), &error);
+    if (sink == nullptr) return Status::IOError(error);
+    SetLogBackend(nullptr);  // Never leave the backend dangling mid-swap.
+    LogJsonSinkSlot() = std::move(sink);
+    SetLogBackend(LogJsonSinkSlot().get());
   }
-  if (!seen) return Status::OK();
-  std::string error;
-  std::unique_ptr<JsonLogSink> sink = JsonLogSink::Open(path, &error);
-  if (sink == nullptr) return Status::IOError(error);
-  SetLogBackend(nullptr);  // Never leave the backend dangling mid-swap.
-  LogJsonSinkSlot() = std::move(sink);
-  SetLogBackend(LogJsonSinkSlot().get());
-  return Status::OK();
-}
-
-// Consumes every --failpoints flag (global, like --log-level) and
-// installs the last spec. Only touches the failpoint registry when the
-// flag is present, so in-process callers (tests driving RunCli) keep
-// whatever configuration they installed themselves.
-Status ApplyFailpointsFlag(std::vector<std::string>& args) {
-  constexpr const char* kPrefix = "--failpoints=";
-  bool seen = false;
-  std::string spec;
-  for (auto it = args.begin(); it != args.end();) {
-    if (it->rfind(kPrefix, 0) == 0) {
-      spec = it->substr(std::string(kPrefix).size());
-      seen = true;
-      it = args.erase(it);
-    } else if (*it == "--failpoints") {
-      if (std::next(it) == args.end()) {
-        return Status::InvalidArgument("--failpoints requires a value");
-      }
-      spec = *std::next(it);
-      seen = true;
-      it = args.erase(it, it + 2);
-    } else {
-      ++it;
-    }
-  }
-  if (seen) return Failpoints::Configure(spec);
+  TPIIN_ASSIGN_OR_RETURN(std::vector<std::string> failpoints,
+                         ConsumeGlobalFlag(args, "failpoints"));
+  if (!failpoints.empty()) return Failpoints::Configure(failpoints.back());
   return Status::OK();
 }
 
 // Shared --report / --trace-out handling for the pipeline commands.
-// Construct after FlagParser::Parse; Begin() resets the run-wide metrics,
-// installs the trace recorder and starts the command's wall clock;
-// Finish() stamps the report's total_seconds from that clock and writes
-// both artifacts.
+// DefineFlags() before FlagParser::Parse, construct after it: the
+// constructor resets the run-wide metrics, installs the trace recorder
+// and starts the command's wall clock; Finish() stamps the report's
+// total_seconds from that clock and writes both artifacts.
 class ObsOutputs {
  public:
+  static void DefineFlags(FlagParser& flags) {
+    flags.DefineString("report", "", "machine-readable run report (JSON)");
+    flags.DefineString("trace-out", "",
+                       "Chrome trace_event JSON (chrome://tracing)");
+  }
+
   explicit ObsOutputs(const FlagParser& flags)
       : report_path_(flags.GetString("report")),
-        trace_path_(flags.GetString("trace-out")) {}
-
-  void Begin() {
+        trace_path_(flags.GetString("trace-out")) {
     timer_.Restart();
     if (!report_path_.empty()) MetricsRegistry::Global().Reset();
     if (!trace_path_.empty()) {
@@ -177,8 +158,6 @@ class ObsOutputs {
       recorder_->Install();
     }
   }
-
-  bool wants_report() const { return !report_path_.empty(); }
 
   /// Writes the trace and the report (the caller fills `report` first).
   Status Finish(RunReport* report, std::ostream& out) {
@@ -270,9 +249,7 @@ Status RunBuild(const std::vector<std::string>& args, std::ostream& out) {
   flags.DefineString("out", "", "snapshot output file");
   flags.DefineBool("wcc-index", true,
                    "precompute the subTPIIN segmentation index");
-  flags.DefineString("report", "", "machine-readable run report (JSON)");
-  flags.DefineString("trace-out", "",
-                     "Chrome trace_event JSON (chrome://tracing)");
+  ObsOutputs::DefineFlags(flags);
   TPIIN_RETURN_IF_ERROR(ParseFlags(flags, args));
   const std::string& data_dir = flags.GetString("data");
   const std::string& net_path = flags.GetString("net");
@@ -283,41 +260,46 @@ Status RunBuild(const std::vector<std::string>& args, std::ostream& out) {
         "--net=FILE");
   }
   ObsOutputs obs(flags);
-  obs.Begin();
 
   RunReport report("build");
   report.set_threads(1);
 
+  // Every figure below is a stage lap; `lap` records one and returns its
+  // wall seconds.
+  StageTimer stage;
+  const auto lap = [&](const std::string& name) {
+    double wall = 0;
+    double cpu = 0;
+    stage.Lap(&wall, &cpu);
+    report.AddStage(name, wall, cpu);
+    return wall;
+  };
   // The cold start the snapshot replaces: CSV ingest + fusion (or the
   // edge-list parse).
-  WallTimer cold_timer;
-  StageTimer stage;
+  double cold_start_s = 0;
   Tpiin net;
   if (!data_dir.empty()) {
     TPIIN_ASSIGN_OR_RETURN(RawDataset dataset, LoadDatasetCsv(data_dir));
-    stage.Lap(&report, "load_csv");
+    cold_start_s += lap("load_csv");
     TPIIN_ASSIGN_OR_RETURN(FusionOutput fused, BuildTpiin(dataset));
-    stage.Lap(&report, "fuse");
+    cold_start_s += lap("fuse");
     out << fused.stats.ToString() << "\n";
     net = std::move(fused.tpiin);
   } else {
     TPIIN_ASSIGN_OR_RETURN(net, ReadTpiinEdgeList(net_path));
-    stage.Lap(&report, "load_net");
+    cold_start_s += lap("load_net");
   }
-  const double cold_start_s = cold_timer.ElapsedSeconds();
 
   SnapshotWriteOptions options;
   options.include_wcc_index = flags.GetBool("wcc-index");
   TPIIN_RETURN_IF_ERROR(WriteSnapshot(net, flags.GetString("out"), options));
-  stage.Lap(&report, "snapshot_write");
+  lap("snapshot_write");
 
   // Re-open what was just written: verifies the round trip end to end
   // and measures the open cost every later --snapshot run will pay.
-  WallTimer open_timer;
   TPIIN_ASSIGN_OR_RETURN(std::unique_ptr<SnapshotView> view,
                          SnapshotView::Open(flags.GetString("out")));
-  const double open_s = open_timer.ElapsedSeconds();
-  stage.Lap(&report, "snapshot_open");
+  const double open_s = lap("snapshot_open");
 
   out << "snapshot written to " << flags.GetString("out") << " ("
       << view->file_size() << " bytes, " << net.NumNodes() << " nodes, "
@@ -400,15 +382,12 @@ Status RunFuse(const std::vector<std::string>& args, std::ostream& out) {
   FlagParser flags;
   flags.DefineString("data", "", "CSV dataset directory");
   flags.DefineString("out", "", "edge-list output file");
-  flags.DefineString("report", "", "machine-readable run report (JSON)");
-  flags.DefineString("trace-out", "",
-                     "Chrome trace_event JSON (chrome://tracing)");
+  ObsOutputs::DefineFlags(flags);
   TPIIN_RETURN_IF_ERROR(ParseFlags(flags, args));
   if (flags.GetString("data").empty() || flags.GetString("out").empty()) {
     return Status::InvalidArgument("fuse requires --data=DIR --out=FILE");
   }
   ObsOutputs obs(flags);
-  obs.Begin();
   TPIIN_ASSIGN_OR_RETURN(RawDataset dataset,
                          LoadDatasetCsv(flags.GetString("data")));
   TPIIN_ASSIGN_OR_RETURN(FusionOutput fused, BuildTpiin(dataset));
@@ -439,10 +418,8 @@ RunBudget BudgetFromFlags(const FlagParser& flags) {
   RunBudget budget;
   budget.deadline_seconds = flags.GetInt64("deadline-ms") / 1e3;
   budget.sub_slice_seconds = flags.GetInt64("sub-slice-ms") / 1e3;
-  budget.max_sub_nodes = static_cast<size_t>(
-      std::max<int64_t>(0, flags.GetInt64("max-sub-nodes")));
-  budget.max_sub_arcs = static_cast<size_t>(
-      std::max<int64_t>(0, flags.GetInt64("max-sub-arcs")));
+  budget.max_sub_nodes = FlagAtLeast(flags, "max-sub-nodes", 0);
+  budget.max_sub_arcs = FlagAtLeast(flags, "max-sub-arcs", 0);
   return budget;
 }
 
@@ -454,13 +431,10 @@ Status RunDetect(const std::vector<std::string>& args, std::ostream& out,
   flags.DefineInt64("threads", 0, "worker threads (0 = auto-detect)");
   flags.DefineInt64("top", 10, "ranked trades to print");
   flags.DefineString("json", "", "optional JSON report file");
-  flags.DefineString("report", "", "machine-readable run report (JSON)");
-  flags.DefineString("trace-out", "",
-                     "Chrome trace_event JSON (chrome://tracing)");
+  ObsOutputs::DefineFlags(flags);
   DefineBudgetFlags(flags);
   TPIIN_RETURN_IF_ERROR(ParseFlags(flags, args));
   ObsOutputs obs(flags);
-  obs.Begin();
   TPIIN_ASSIGN_OR_RETURN(LoadedNet loaded, LoadNetwork(flags, "detect"));
   const Tpiin& net = loaded.net();
   DetectorOptions options;
@@ -476,9 +450,8 @@ Status RunDetect(const std::vector<std::string>& args, std::ostream& out,
   }
 
   ScoringResult scoring = ScoreDetection(net, detection);
-  size_t top = std::min<size_t>(
-      scoring.ranked_trades.size(),
-      static_cast<size_t>(std::max<int64_t>(0, flags.GetInt64("top"))));
+  size_t top = std::min<size_t>(scoring.ranked_trades.size(),
+                                FlagAtLeast(flags, "top", 0));
   if (top > 0) {
     out << "\ntop " << top << " suspicious trading relationships:\n";
     for (size_t i = 0; i < top; ++i) {
@@ -519,11 +492,16 @@ Status RunDetect(const std::vector<std::string>& args, std::ostream& out,
   report.set_threads(
       ResolveThreadCount(static_cast<uint32_t>(flags.GetInt64("threads"))));
   loaded.AddToReport(&report);
-  AddDetectionToReport(
-      detection,
-      static_cast<size_t>(std::max<int64_t>(0, flags.GetInt64("top"))),
-      &report);
+  AddDetectionToReport(detection, FlagAtLeast(flags, "top", 0), &report);
   return obs.Finish(&report, out);
+}
+
+// The first node labeled `label` (NotFound when none is).
+Result<NodeId> FindLabel(const Tpiin& net, const std::string& label) {
+  for (NodeId v = 0; v < net.NumNodes(); ++v) {
+    if (net.Label(v) == label) return v;
+  }
+  return Status::NotFound("no node labeled " + label);
 }
 
 Status RunExplain(const std::vector<std::string>& args, std::ostream& out) {
@@ -536,17 +514,8 @@ Status RunExplain(const std::vector<std::string>& args, std::ostream& out) {
   }
   TPIIN_ASSIGN_OR_RETURN(LoadedNet loaded, LoadNetwork(flags, "explain"));
   const Tpiin& net = loaded.net();
-  NodeId company = kInvalidNode;
-  for (NodeId v = 0; v < net.NumNodes(); ++v) {
-    if (net.Label(v) == flags.GetString("company")) {
-      company = v;
-      break;
-    }
-  }
-  if (company == kInvalidNode) {
-    return Status::NotFound("no node labeled " +
-                            flags.GetString("company"));
-  }
+  TPIIN_ASSIGN_OR_RETURN(NodeId company,
+                         FindLabel(net, flags.GetString("company")));
   if (net.node(company).color != NodeColor::kCompany) {
     return Status::InvalidArgument(flags.GetString("company") +
                                    " is a Person node");
@@ -676,19 +645,10 @@ Status RunExport(const std::vector<std::string>& args, std::ostream& out) {
   const Tpiin* net = &loaded.net();
   Tpiin ego_net;
   if (!flags.GetString("ego").empty()) {
-    NodeId center = kInvalidNode;
-    for (NodeId v = 0; v < net->NumNodes(); ++v) {
-      if (net->Label(v) == flags.GetString("ego")) {
-        center = v;
-        break;
-      }
-    }
-    if (center == kInvalidNode) {
-      return Status::NotFound("no node labeled " + flags.GetString("ego"));
-    }
+    TPIIN_ASSIGN_OR_RETURN(NodeId center,
+                           FindLabel(*net, flags.GetString("ego")));
     EgoOptions ego_options;
-    ego_options.depth =
-        static_cast<uint32_t>(std::max<int64_t>(0, flags.GetInt64("depth")));
+    ego_options.depth = FlagAtLeast(flags, "depth", 0);
     ego_options.follow_trading = true;
     TPIIN_ASSIGN_OR_RETURN(ego_net,
                            ExtractEgoNetwork(*net, center, ego_options));
@@ -726,9 +686,7 @@ Status RunShardBuild(const std::vector<std::string>& args,
                    "keep the routed per-shard CSV spill directories");
   flags.DefineBool("wcc-index", true,
                    "precompute each shard's segmentation index");
-  flags.DefineString("report", "", "machine-readable run report (JSON)");
-  flags.DefineString("trace-out", "",
-                     "Chrome trace_event JSON (chrome://tracing)");
+  ObsOutputs::DefineFlags(flags);
   TPIIN_RETURN_IF_ERROR(ParseFlags(flags, args));
   if (flags.GetString("data").empty() || flags.GetString("out").empty()) {
     return Status::InvalidArgument(
@@ -738,13 +696,11 @@ Status RunShardBuild(const std::vector<std::string>& args,
     return Status::InvalidArgument("--shards must be positive");
   }
   ObsOutputs obs(flags);
-  obs.Begin();
   RunReport report("shard_build");
   report.set_threads(1);
   ShardBuildOptions options;
   options.num_shards = static_cast<uint32_t>(flags.GetInt64("shards"));
-  options.spill_buffer_bytes = static_cast<size_t>(
-      std::max<int64_t>(4, flags.GetInt64("spill-buffer-kb")) * 1024);
+  options.spill_buffer_bytes = FlagAtLeast(flags, "spill-buffer-kb", 4) * 1024;
   options.keep_spill = flags.GetBool("keep-spill");
   options.include_wcc_index = flags.GetBool("wcc-index");
   TPIIN_ASSIGN_OR_RETURN(
@@ -775,24 +731,18 @@ Status RunShardDetect(const std::vector<std::string>& args,
   flags.DefineString("dir", "", "sharded build directory");
   flags.DefineInt64("threads", 1, "threads inside one shard's detection");
   flags.DefineInt64("shard-parallel", 1, "shards detected concurrently");
-  flags.DefineString("report", "", "machine-readable run report (JSON)");
-  flags.DefineString("trace-out", "",
-                     "Chrome trace_event JSON (chrome://tracing)");
+  ObsOutputs::DefineFlags(flags);
   DefineBudgetFlags(flags);
   TPIIN_RETURN_IF_ERROR(ParseFlags(flags, args));
   if (flags.GetString("dir").empty()) {
     return Status::InvalidArgument("shard detect requires --dir=DIR");
   }
   ObsOutputs obs(flags);
-  obs.Begin();
   RunReport report("shard_detect");
-  report.set_threads(ResolveThreadCount(
-      static_cast<uint32_t>(std::max<int64_t>(0, flags.GetInt64("threads")))));
+  report.set_threads(ResolveThreadCount(FlagAtLeast(flags, "threads", 0)));
   ShardDetectOptions options;
-  options.num_threads =
-      static_cast<uint32_t>(std::max<int64_t>(1, flags.GetInt64("threads")));
-  options.shard_parallel = static_cast<uint32_t>(
-      std::max<int64_t>(1, flags.GetInt64("shard-parallel")));
+  options.num_threads = FlagAtLeast(flags, "threads", 1);
+  options.shard_parallel = FlagAtLeast(flags, "shard-parallel", 1);
   options.budget = BudgetFromFlags(flags);
   TPIIN_ASSIGN_OR_RETURN(
       ShardDetectStats stats,
@@ -814,16 +764,13 @@ Status RunShardMerge(const std::vector<std::string>& args,
   FlagParser flags;
   flags.DefineString("dir", "", "sharded build directory");
   flags.DefineString("out", "", "merged ranked report file");
-  flags.DefineString("report", "", "machine-readable run report (JSON)");
-  flags.DefineString("trace-out", "",
-                     "Chrome trace_event JSON (chrome://tracing)");
+  ObsOutputs::DefineFlags(flags);
   TPIIN_RETURN_IF_ERROR(ParseFlags(flags, args));
   if (flags.GetString("dir").empty() || flags.GetString("out").empty()) {
     return Status::InvalidArgument(
         "shard merge requires --dir=DIR --out=FILE");
   }
   ObsOutputs obs(flags);
-  obs.Begin();
   RunReport report("shard_merge");
   report.set_threads(1);
   TPIIN_ASSIGN_OR_RETURN(
@@ -948,10 +895,8 @@ Status RunServe(const std::vector<std::string>& args, std::ostream& out,
   options.host = flags.GetString("host");
   options.port = static_cast<uint16_t>(
       std::max<int64_t>(0, std::min<int64_t>(65535, flags.GetInt64("port"))));
-  options.max_inflight = static_cast<size_t>(
-      std::max<int64_t>(1, flags.GetInt64("max-inflight")));
-  options.max_queue = static_cast<size_t>(
-      std::max<int64_t>(0, flags.GetInt64("max-queue")));
+  options.max_inflight = FlagAtLeast(flags, "max-inflight", 1);
+  options.max_queue = FlagAtLeast(flags, "max-queue", 0);
   options.idle_timeout_seconds = flags.GetInt64("idle-timeout-ms") / 1e3;
   options.line_deadline_seconds = flags.GetInt64("line-deadline-ms") / 1e3;
   options.write_deadline_seconds = flags.GetInt64("write-deadline-ms") / 1e3;
@@ -959,20 +904,17 @@ Status RunServe(const std::vector<std::string>& args, std::ostream& out,
       flags.GetInt64("request-deadline-ms") / 1e3;
   options.drain_seconds = flags.GetInt64("drain-ms") / 1e3;
   options.verify_checksums = flags.GetBool("verify");
-  options.service.threads =
-      static_cast<uint32_t>(std::max<int64_t>(0, flags.GetInt64("threads")));
-  options.service.cache_entries = static_cast<size_t>(
-      std::max<int64_t>(0, flags.GetInt64("cache-entries")));
-  options.service.bundle_cache_entries = static_cast<size_t>(
-      std::max<int64_t>(0, flags.GetInt64("bundle-cache-entries")));
+  options.service.threads = FlagAtLeast(flags, "threads", 0);
+  options.service.cache_entries = FlagAtLeast(flags, "cache-entries", 0);
+  options.service.bundle_cache_entries =
+      FlagAtLeast(flags, "bundle-cache-entries", 0);
   options.service.default_budget = BudgetFromFlags(flags);
   options.access_log_path = flags.GetString("access-log");
   options.trace_out_path = flags.GetString("trace-out");
   options.metrics_out_path = flags.GetString("metrics-out");
   options.metrics_interval_seconds =
-      std::max<int64_t>(100, flags.GetInt64("metrics-interval-ms")) / 1e3;
-  options.slow_requests = static_cast<size_t>(
-      std::max<int64_t>(0, flags.GetInt64("slow-requests")));
+      FlagAtLeast(flags, "metrics-interval-ms", 100) / 1e3;
+  options.slow_requests = FlagAtLeast(flags, "slow-requests", 0);
 
   TPIIN_ASSIGN_OR_RETURN(std::unique_ptr<Server> server,
                          Server::Start(options));
@@ -1078,8 +1020,8 @@ std::string CliUsage() {
       "          report, byte-identical to an unsharded detect --out\n"
       "          --dir=DIR --out=FILE [--report=FILE]\n"
       "  serve   long-lived query daemon over a loaded snapshot:\n"
-      "          newline-delimited JSON over TCP (verbs: groups, explain,\n"
-      "          rescore, stats, slow, metrics, healthz, reload);\n"
+      "          newline-delimited JSON over TCP; verbs:\n"
+      "          " + ServeVerbList() + ";\n"
       "          groups/explain bytes match the batch commands exactly\n"
       "          --snapshot=FILE [--host=ADDR] [--port=N] [--port-file=F]\n"
       "          [--threads=T] [--max-inflight=N] [--max-queue=N]\n"
@@ -1118,9 +1060,7 @@ namespace {
 Status DispatchCli(const std::vector<std::string>& args, std::ostream& out,
                    int* exit_code) {
   std::vector<std::string> mutable_args = args;
-  TPIIN_RETURN_IF_ERROR(ApplyLogLevelFlag(mutable_args));
-  TPIIN_RETURN_IF_ERROR(ApplyLogJsonFlag(mutable_args));
-  TPIIN_RETURN_IF_ERROR(ApplyFailpointsFlag(mutable_args));
+  TPIIN_RETURN_IF_ERROR(ApplyGlobalFlags(mutable_args));
   if (mutable_args.empty() || mutable_args[0] == "help" ||
       mutable_args[0] == "--help") {
     out << CliUsage();

@@ -10,26 +10,9 @@
 namespace tpiin {
 
 /// The `tpiin` command-line tool, as a library so every command is unit
-/// testable. Subcommands:
-///
-///   gen     --out=DIR [--companies=N] [--p=X] [--seed=S] [--plant=K]
-///           Generate a synthetic province and write its CSV dataset.
-///   fuse    --data=DIR --out=FILE
-///           Load a CSV dataset, run multi-network fusion, write the
-///           TPIIN edge list.
-///   detect  --net=FILE [--out=DIR] [--threads=T] [--top=K]
-///           Mine suspicious groups from an edge-list TPIIN; optionally
-///           write susGroup/susTrade/report files; print the top-K
-///           scored trading relationships.
-///   stats   --net=FILE
-///           Degree statistics of the antecedent/trading layers.
-///   serve   --snapshot=FILE [--port=N] ...
-///           Long-lived query daemon: newline-delimited JSON over TCP
-///           (groups, explain, rescore, stats, healthz), answers
-///           byte-identical to the batch commands; drains on
-///           SIGINT/SIGTERM.
-///   export  --net=FILE --format=dot|gexf --out=FILE
-///           Render the TPIIN for Graphviz or Gephi.
+/// testable. The commands and their flags are listed once, in
+/// CliUsage() (`tpiin help`); the serve verbs once, in kServeVerbs
+/// (serve/protocol.h).
 ///
 /// `RunCli` dispatches argv and writes human-readable output to `out`;
 /// errors are reported on the returned Status (the binary prints them to

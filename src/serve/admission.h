@@ -54,10 +54,8 @@ class AdmissionController {
   /// False when Abort() ended the wait — the request is refused busy.
   bool AcquireRequestSlot() {
     std::unique_lock<std::mutex> lock(mu_);
-    ++queued_;
     cv_.wait(lock,
              [this] { return aborted_ || inflight_ < max_inflight_; });
-    --queued_;
     if (aborted_) return false;
     ++inflight_;
     return true;
@@ -81,20 +79,10 @@ class AdmissionController {
     cv_.notify_all();
   }
 
-  size_t connections() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return connections_;
-  }
   size_t inflight() const {
     std::lock_guard<std::mutex> lock(mu_);
     return inflight_;
   }
-  size_t queued() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return queued_;
-  }
-  size_t max_inflight() const { return max_inflight_; }
-  size_t max_queue() const { return max_queue_; }
 
  private:
   const size_t max_inflight_;
@@ -103,7 +91,6 @@ class AdmissionController {
   std::condition_variable cv_;
   size_t connections_ = 0;
   size_t inflight_ = 0;
-  size_t queued_ = 0;
   bool aborted_ = false;
 };
 

@@ -93,12 +93,6 @@ class LruCache {
   /// True iff `key` is resident; Peek's no-side-effect rules.
   bool Contains(const std::string& key) const { return Peek(key) != nullptr; }
 
-  void Clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    lru_.clear();
-    index_.clear();
-  }
-
   /// Evicts every entry whose key starts with `prefix` and returns how
   /// many were dropped. The hot-reload path uses this to discard a
   /// retired generation's entries (keys embed the snapshot CRC, so a

@@ -140,11 +140,17 @@ Result<int64_t> ParseJsonInt(Scanner& s) {
   return static_cast<int64_t>(value);
 }
 
+// The request's string field named `key`, or null.
+std::string* StringField(Request& req, const std::string& key) {
+  if (key == "verb") return &req.verb;
+  if (key == "company") return &req.company;
+  if (key == "path") return &req.path;
+  return nullptr;
+}
+
 Status SetField(Request& req, const std::string& key, Scanner& s) {
-  if (key == "verb" || key == "company" || key == "path") {
-    TPIIN_ASSIGN_OR_RETURN(std::string value, ParseJsonString(s));
-    (key == "verb" ? req.verb : key == "company" ? req.company : req.path) =
-        std::move(value);
+  if (std::string* slot = StringField(req, key)) {
+    TPIIN_ASSIGN_OR_RETURN(*slot, ParseJsonString(s));
     return Status::OK();
   }
   int64_t* slot = nullptr;
@@ -159,22 +165,28 @@ Status SetField(Request& req, const std::string& key, Scanner& s) {
   return Status::OK();
 }
 
-Result<Request> ParseJsonRequest(std::string_view line) {
+// Walks the flat JSON object `line`, handing each key to `field`, which
+// consumes the value. Errors read "malformed <what>: ...".
+template <typename Field>
+Status WalkObject(std::string_view line, const char* what, Field field) {
+  const auto malformed = [what](const char* detail) {
+    return Status::InvalidArgument(
+        StringPrintf("malformed %s: %s", what, detail));
+  };
   Scanner s{line};
-  if (!s.Consume('{')) return Malformed("expected '{'");
-  Request req;
+  if (!s.Consume('{')) return malformed("expected '{'");
   if (!s.Consume('}')) {
     while (true) {
       TPIIN_ASSIGN_OR_RETURN(std::string key, ParseJsonString(s));
-      if (!s.Consume(':')) return Malformed("expected ':'");
-      TPIIN_RETURN_IF_ERROR(SetField(req, key, s));
+      if (!s.Consume(':')) return malformed("expected ':'");
+      TPIIN_RETURN_IF_ERROR(field(key, s));
       if (s.Consume(',')) continue;
       if (s.Consume('}')) break;
-      return Malformed("expected ',' or '}'");
+      return malformed("expected ',' or '}'");
     }
   }
-  if (!s.AtEnd()) return Malformed("trailing bytes after object");
-  return req;
+  if (!s.AtEnd()) return malformed("trailing bytes after object");
+  return Status::OK();
 }
 
 // The `verb?key=value&key=value` convenience form. Values are taken
@@ -202,15 +214,11 @@ Result<Request> ParseQueryRequest(std::string_view line) {
     }
     std::string key(term.substr(0, eq));
     std::string value(term.substr(eq + 1));
-    if (key == "company") {
-      req.company = std::move(value);
-      continue;
-    }
-    if (key == "path") {
-      req.path = std::move(value);
-      continue;
-    }
     if (key == "verb") return Malformed("verb belongs before '?'");
+    if (std::string* slot = StringField(req, key)) {
+      *slot = std::move(value);
+      continue;
+    }
     // Re-use the JSON field table for the integer keys.
     Scanner s{value};
     TPIIN_RETURN_IF_ERROR(SetField(req, key, s));
@@ -220,6 +228,27 @@ Result<Request> ParseQueryRequest(std::string_view line) {
 }
 
 }  // namespace
+
+const ServeVerb* FindVerb(std::string_view name) {
+  for (const ServeVerb& verb : kServeVerbs) {
+    if (verb.name == name) return &verb;
+  }
+  return nullptr;
+}
+
+std::string ServeVerbList() {
+  std::string list;
+  for (const ServeVerb& verb : kServeVerbs) {
+    if (!list.empty()) list += ", ";
+    list += verb.name;
+  }
+  return list;
+}
+
+Status UnknownVerbError(std::string_view verb) {
+  return Status::InvalidArgument("unknown verb: " + std::string(verb) +
+                                 " (expected " + ServeVerbList() + ")");
+}
 
 Result<Request> ParseRequestLine(std::string_view line) {
   while (!line.empty() &&
@@ -231,9 +260,15 @@ Result<Request> ParseRequestLine(std::string_view line) {
     line.remove_prefix(1);
   }
   if (line.empty()) return Status::InvalidArgument("empty request line");
-  TPIIN_ASSIGN_OR_RETURN(
-      Request req, line.front() == '{' ? ParseJsonRequest(line)
-                                       : ParseQueryRequest(line));
+  Request req;
+  if (line.front() == '{') {
+    TPIIN_RETURN_IF_ERROR(WalkObject(
+        line, "request", [&req](const std::string& key, Scanner& s) {
+          return SetField(req, key, s);
+        }));
+  } else {
+    TPIIN_ASSIGN_OR_RETURN(req, ParseQueryRequest(line));
+  }
   if (req.verb.empty()) {
     return Status::InvalidArgument("malformed request: missing verb");
   }
@@ -283,41 +318,26 @@ std::string SerializeResponse(const Response& response) {
 }
 
 Result<Response> ParseResponseLine(std::string_view line) {
-  Scanner s{line};
-  if (!s.Consume('{')) {
-    return Status::InvalidArgument("malformed response: expected '{'");
-  }
   Response resp;
-  if (!s.Consume('}')) {
-    while (true) {
-      TPIIN_ASSIGN_OR_RETURN(std::string key, ParseJsonString(s));
-      if (!s.Consume(':')) {
-        return Status::InvalidArgument("malformed response: expected ':'");
-      }
-      if (key == "id") {
-        TPIIN_ASSIGN_OR_RETURN(resp.id, ParseJsonInt(s));
-      } else if (key == "req" || key == "verb" || key == "status" ||
-                 key == "payload" || key == "error") {
-        TPIIN_ASSIGN_OR_RETURN(std::string value, ParseJsonString(s));
-        if (key == "req") resp.request_id = std::move(value);
-        else if (key == "verb") resp.verb = std::move(value);
-        else if (key == "status") resp.status = std::move(value);
-        else if (key == "payload") resp.payload = std::move(value);
-        else resp.error = std::move(value);
-      } else {
-        return Status::InvalidArgument("malformed response: unknown key \"" +
-                                       key + "\"");
-      }
-      if (s.Consume(',')) continue;
-      if (s.Consume('}')) break;
-      return Status::InvalidArgument(
-          "malformed response: expected ',' or '}'");
-    }
-  }
-  if (!s.AtEnd()) {
-    return Status::InvalidArgument(
-        "malformed response: trailing bytes after object");
-  }
+  TPIIN_RETURN_IF_ERROR(WalkObject(
+      line, "response", [&resp](const std::string& key, Scanner& s) {
+        if (key == "id") {
+          TPIIN_ASSIGN_OR_RETURN(resp.id, ParseJsonInt(s));
+          return Status::OK();
+        }
+        std::string* slot = key == "req"       ? &resp.request_id
+                            : key == "verb"    ? &resp.verb
+                            : key == "status"  ? &resp.status
+                            : key == "payload" ? &resp.payload
+                            : key == "error"   ? &resp.error
+                                               : nullptr;
+        if (slot == nullptr) {
+          return Status::InvalidArgument(
+              "malformed response: unknown key \"" + key + "\"");
+        }
+        TPIIN_ASSIGN_OR_RETURN(*slot, ParseJsonString(s));
+        return Status::OK();
+      }));
   if (resp.status.empty()) {
     return Status::InvalidArgument("malformed response: missing status");
   }

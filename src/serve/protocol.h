@@ -1,6 +1,7 @@
 #ifndef TPIIN_SERVE_PROTOCOL_H_
 #define TPIIN_SERVE_PROTOCOL_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -24,7 +25,7 @@ namespace tpiin {
 ///   groups?company=C0017&id=7
 ///
 /// Recognized fields (everything else is rejected as malformed):
-///   verb          groups | explain | rescore | stats | healthz | reload
+///   verb          one of kServeVerbs below
 ///   company       company label (groups filter; required by explain)
 ///   sub           subTPIIN emission index (required by rescore)
 ///   id            opaque caller tag, echoed in the response
@@ -56,8 +57,8 @@ namespace tpiin {
 ///
 /// For `groups`, `explain` and `rescore` the payload is text that is
 /// byte-identical to the corresponding batch CLI artifact (susGroup.txt
-/// lines, the `tpiin explain` dossier, the rescore report); for `stats`
-/// it is a RunReport-style JSON document; for `healthz` it is "ok\n".
+/// lines, the `tpiin explain` dossier, the rescore report); the daemon
+/// verbs' payloads are described at Server::AnswerDaemonVerb.
 struct Request {
   std::string verb;
   std::string company;
@@ -106,6 +107,53 @@ struct FramedResponse {
     return head.size() + (body ? body->size() : 0) + tail.size();
   }
 };
+
+/// The serve verbs; each enumerator is its kServeVerbs row's index.
+enum class VerbId {
+  kGroups, kExplain, kRescore, kStats, kSlow, kMetrics, kHealthz, kReload
+};
+
+/// Who answers a verb: the Server itself (the verb speaks about the
+/// daemon, its traffic or its generations) or the serving generation's
+/// QueryService (the verb reads the network).
+enum class VerbSide { kDaemon, kService };
+
+struct ServeVerb {
+  VerbId id;
+  std::string_view name;  ///< Wire name: the request's `verb`.
+  const char* span;       ///< Trace-span name (static storage).
+  VerbSide side;
+};
+
+/// The verb table. Dispatch, trace spans, the per-verb metric families,
+/// the unknown-verb message and the CLI usage text all read this array.
+inline constexpr std::array<ServeVerb, 8> kServeVerbs = {{
+    {VerbId::kGroups, "groups", "serve.groups", VerbSide::kService},
+    {VerbId::kExplain, "explain", "serve.explain", VerbSide::kService},
+    {VerbId::kRescore, "rescore", "serve.rescore", VerbSide::kService},
+    {VerbId::kStats, "stats", "serve.stats", VerbSide::kDaemon},
+    {VerbId::kSlow, "slow", "serve.slow", VerbSide::kDaemon},
+    {VerbId::kMetrics, "metrics", "serve.metrics", VerbSide::kDaemon},
+    {VerbId::kHealthz, "healthz", "serve.healthz", VerbSide::kDaemon},
+    {VerbId::kReload, "reload", "serve.reload", VerbSide::kDaemon},
+}};
+static_assert([] {
+  for (size_t i = 0; i < kServeVerbs.size(); ++i) {
+    if (static_cast<size_t>(kServeVerbs[i].id) != i) return false;
+  }
+  return true;
+}());
+
+/// The table row named `name`, or null for a verb the protocol does
+/// not define.
+const ServeVerb* FindVerb(std::string_view name);
+
+/// "groups, explain, ..., reload": the table's wire names in order.
+std::string ServeVerbList();
+
+/// The InvalidArgument every side answers a verb outside the table
+/// with; the message echoes `verb` and lists the table.
+Status UnknownVerbError(std::string_view verb);
 
 /// Parses one request line (either form, leading/trailing whitespace and
 /// a trailing '\r' tolerated). Malformed input — bad JSON, an unknown

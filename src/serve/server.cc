@@ -81,22 +81,6 @@ Status CheckFailpoint(const char* site) {
   return Failpoints::Check(site);
 }
 
-/// TraceSpan names must have static storage; map the (dynamic) verb to
-/// its literal. Unknown verbs share one bucket — the trace is a latency
-/// picture, not a request log (that is the access log's job).
-const char* SpanNameForVerb(const std::string& verb) {
-  if (verb == "groups") return "serve.groups";
-  if (verb == "explain") return "serve.explain";
-  if (verb == "rescore") return "serve.rescore";
-  if (verb == "stats") return "serve.stats";
-  if (verb == "metrics") return "serve.metrics";
-  if (verb == "slow") return "serve.slow";
-  if (verb == "healthz") return "serve.healthz";
-  if (verb == "reload") return "serve.reload";
-  if (verb == "malformed") return "serve.malformed";
-  return "serve.other";
-}
-
 const char* CacheToken(RequestTelemetry::Cache cache) {
   switch (cache) {
     case RequestTelemetry::Cache::kNone:
@@ -114,7 +98,24 @@ const char* CacheToken(RequestTelemetry::Cache cache) {
 Server::Server(const ServeOptions& options)
     : options_(options),
       admission_(options.max_inflight, options.max_queue),
-      slow_ring_(options.slow_requests) {}
+      slow_ring_(options.slow_requests) {
+  // Every per-verb family and span is named here, from the verb table
+  // and the two fixed catch-alls — never from request bytes — so a
+  // client cannot mint families, and each exists (at zero) from the
+  // first scrape.
+  const auto add = [this](size_t index, std::string_view name,
+                          const char* span) {
+    const std::string suffix(name);
+    buckets_[index] = {name, span,
+                       &metrics_.GetCounter("serve.requests." + suffix),
+                       &metrics_.GetHistogram("serve.latency_us." + suffix)};
+  };
+  for (const ServeVerb& verb : kServeVerbs) {
+    add(static_cast<size_t>(verb.id), verb.name, verb.span);
+  }
+  add(kOtherBucket, "other", "serve.other");
+  add(kMalformedBucket, "malformed", "serve.malformed");
+}
 
 Result<std::unique_ptr<Server>> Server::Start(const ServeOptions& options) {
   std::unique_ptr<Server> server(new Server(options));
@@ -364,7 +365,7 @@ bool Server::ReadLine(int fd, std::string* buffer, std::string* line) {
       resp.status = "error";
       resp.error = StringPrintf("request line over %zu bytes",
                                 options_.max_line_bytes);
-      WriteResponse(fd, resp);
+      WriteWire(fd, FrameResponse(resp));
       return false;
     }
     if (mid_line && options_.line_deadline_seconds > 0) {
@@ -379,7 +380,7 @@ bool Server::ReadLine(int fd, std::string* buffer, std::string* line) {
         resp.error = StringPrintf(
             "request line not completed within %.3fs",
             options_.line_deadline_seconds);
-        WriteResponse(fd, resp);
+        WriteWire(fd, FrameResponse(resp));
         return false;
       }
       double window = remaining;
@@ -429,10 +430,6 @@ bool Server::ReadLine(int fd, std::string* buffer, std::string* line) {
     }
     buffer->append(chunk, static_cast<size_t>(n));
   }
-}
-
-void Server::WriteResponse(int fd, const Response& response) {
-  WriteWire(fd, FrameResponse(response));
 }
 
 bool Server::WriteWire(int fd, const FramedResponse& wire) {
@@ -527,10 +524,19 @@ void Server::HandleConnection(int fd, uint64_t conn_id,
     Response resp;
     RequestTelemetry telemetry;
     Result<Request> request = ParseRequestLine(line);
-    const std::string verb = request.ok() ? request->verb : "malformed";
+    const ServeVerb* table_verb =
+        request.ok() ? FindVerb(request->verb) : nullptr;
+    const VerbBucket& bucket =
+        buckets_[!request.ok()            ? kMalformedBucket
+                 : table_verb == nullptr ? kOtherBucket
+                                         : static_cast<size_t>(table_verb->id)];
+    // The access log and the slow ring record the verb as sent.
+    const std::string verb =
+        request.ok() ? request->verb : std::string(bucket.name);
+    bucket.requests->Add(1);
     {
 #if TPIIN_OBS_ENABLED
-      TraceSpan verb_span(SpanNameForVerb(verb));
+      TraceSpan verb_span(bucket.span);
 #endif
       if (!request.ok()) {
         resp.status = "error";
@@ -543,39 +549,19 @@ void Server::HandleConnection(int fd, uint64_t conn_id,
         resp.verb = request->verb;
         resp.status = "error";
         resp.error = "injected failure at serve.handle";
-      } else if (request->verb == "stats") {
-        resp.id = request->id;
-        resp.verb = request->verb;
-        resp.status = "ok";
-        resp.payload = BuildStatsReport().ToJson();
-        metrics_.GetCounter("serve.requests.stats").Add(1);
-      } else if (request->verb == "metrics") {
-        resp.id = request->id;
-        resp.verb = request->verb;
-        resp.status = "ok";
-        resp.payload = BuildMetricsText();
-        metrics_.GetCounter("serve.requests.metrics").Add(1);
-      } else if (request->verb == "slow") {
-        resp.id = request->id;
-        resp.verb = request->verb;
-        resp.status = "ok";
-        resp.payload = BuildSlowPayload();
-        metrics_.GetCounter("serve.requests.slow").Add(1);
-      } else if (request->verb == "reload") {
-        resp = HandleReloadVerb(*request);
-        metrics_.GetCounter("serve.requests.reload").Add(1);
-      } else if (request->verb == "healthz") {
-        resp = HandleHealthzVerb(*request);
-        metrics_.GetCounter("serve.requests.healthz").Add(1);
+      } else if (table_verb != nullptr &&
+                 table_verb->side == VerbSide::kDaemon) {
+        resp = AnswerDaemonVerb(table_verb->id, *request);
       } else {
-        // Pin this request's generation: it holds the shared_ptr for
-        // the whole evaluation, so a hot-reload mid-request swaps the
-        // registry but cannot unmap the snapshot being read here. The
-        // next request on this connection picks up the new generation.
+        // The service's verbs, and unknown verbs (it answers them with
+        // UnknownVerbError). Pin this request's generation: it holds
+        // the shared_ptr for the whole evaluation, so a hot-reload
+        // mid-request swaps the registry but cannot unmap the snapshot
+        // being read here. The next request on this connection picks
+        // up the new generation.
         const std::shared_ptr<const SnapshotGeneration> generation =
             registry_->Current();
         resp = generation->service->Handle(*request, &telemetry);
-        metrics_.GetCounter("serve.requests." + request->verb).Add(1);
       }
     }
     resp.request_id = request_id;
@@ -591,7 +577,7 @@ void Server::HandleConnection(int fd, uint64_t conn_id,
     }
     const uint64_t handle_us =
         static_cast<uint64_t>(timer.ElapsedMicros());
-    metrics_.GetHistogram("serve.latency_us." + verb).Record(handle_us);
+    bucket.latency_us->Record(handle_us);
     metrics_.GetHistogram("serve.queue_us").Record(queue_us);
 
     WallTimer serialize_timer;
@@ -680,42 +666,59 @@ void Server::HandleConnection(int fd, uint64_t conn_id,
                    << request_seq << " request(s)";
 }
 
-Response Server::HandleReloadVerb(const Request& request) {
+Response Server::AnswerDaemonVerb(VerbId verb, const Request& request) {
   Response resp;
   resp.id = request.id;
   resp.verb = request.verb;
-  // Synchronous: the registry validates the candidate end-to-end before
-  // answering, so an `ok` here means the swap (or no-op) is complete
-  // and the next query on any connection sees the outcome. Rejections
-  // surface the validation error verbatim; the old generation is
-  // untouched.
-  Result<ReloadOutcome> outcome = registry_->Reload(request.path);
-  if (!outcome.ok()) {
-    resp.status = "error";
-    resp.error = outcome.status().ToString();
-    return resp;
-  }
-  const SnapshotGeneration& generation = *outcome->generation;
   resp.status = "ok";
-  resp.payload = StringPrintf(
-      "generation: %llu\nsnapshot: %s\ncrc: %08x\nswapped: %s\n",
-      static_cast<unsigned long long>(generation.id),
-      generation.path.c_str(), generation.crc(),
-      outcome->swapped ? "true" : "false");
+  switch (verb) {
+    case VerbId::kStats:
+      resp.payload = BuildStatsReport().ToJson();
+      break;
+    case VerbId::kSlow:
+      resp.payload = BuildSlowPayload();
+      break;
+    case VerbId::kMetrics:
+      resp.payload = BuildMetricsText();
+      break;
+    case VerbId::kHealthz:
+      resp.payload = BuildHealthzPayload();
+      break;
+    case VerbId::kReload: {
+      // Synchronous: the registry validates the candidate end-to-end
+      // before answering, so an `ok` here means the swap (or no-op) is
+      // complete and the next query on any connection sees the outcome.
+      // Rejections surface the validation error verbatim; the old
+      // generation is untouched.
+      Result<ReloadOutcome> outcome = registry_->Reload(request.path);
+      if (!outcome.ok()) {
+        resp.status = "error";
+        resp.error = outcome.status().ToString();
+        break;
+      }
+      const SnapshotGeneration& generation = *outcome->generation;
+      resp.payload = StringPrintf(
+          "generation: %llu\nsnapshot: %s\ncrc: %08x\nswapped: %s\n",
+          static_cast<unsigned long long>(generation.id),
+          generation.path.c_str(), generation.crc(),
+          outcome->swapped ? "true" : "false");
+      break;
+    }
+    default:
+      resp.status = "error";
+      resp.error = "verb " + request.verb + " is answered by the service";
+      break;
+  }
   return resp;
 }
 
-Response Server::HandleHealthzVerb(const Request& request) {
-  Response resp;
-  resp.id = request.id;
-  resp.verb = request.verb;
-  resp.status = "ok";
+std::string Server::BuildHealthzPayload() const {
   // First line stays the bare "ok" (a `head -1` liveness probe keeps
   // working); the rest is the reload metadata an operator polls to
   // confirm a swap landed.
   const std::shared_ptr<const SnapshotGeneration> generation =
       registry_->Current();
-  resp.payload = StringPrintf(
+  return StringPrintf(
       "ok\ngeneration: %llu\nsnapshot: %s\ncrc: %08x\nloaded: %s\n"
       "reloads: ok=%llu failed=%llu unchanged=%llu\n",
       static_cast<unsigned long long>(generation->id),
@@ -724,7 +727,6 @@ Response Server::HandleHealthzVerb(const Request& request) {
       static_cast<unsigned long long>(registry_->reload_swaps()),
       static_cast<unsigned long long>(registry_->reload_failures()),
       static_cast<unsigned long long>(registry_->reload_noops()));
-  return resp;
 }
 
 void Server::NotifyReloadWorker() {
@@ -940,24 +942,23 @@ RunReport Server::BuildStatsReport() const {
   cache.Set("sub_misses", shared.sub_cache.misses());
   cache.Set("sub_evictions", shared.sub_cache.evictions());
 
-  // Per-verb latency percentiles: the operator's first read, derived
-  // from the same histograms attached raw below.
+  // Per-verb latency percentiles of the verbs that saw traffic: the
+  // operator's first read, derived from the same histograms attached
+  // raw below.
   MetricsSnapshot snapshot = metrics_.Snapshot();
-  constexpr std::string_view kLatencyPrefix = "serve.latency_us.";
   ReportTable& latency = report.AddTable(
       "latency_us", {"verb", "count", "p50", "p90", "p99", "max"});
-  for (const MetricsSnapshot::Entry& entry : snapshot.entries) {
-    if (entry.kind != MetricsSnapshot::Kind::kHistogram) continue;
-    if (entry.name.compare(0, kLatencyPrefix.size(), kLatencyPrefix) != 0) {
-      continue;
-    }
+  for (const VerbBucket& bucket : buckets_) {
+    const MetricsSnapshot::Entry* entry =
+        snapshot.Find("serve.latency_us." + std::string(bucket.name));
+    if (entry == nullptr || entry->count == 0) continue;
     latency.AddRow()
-        .Append(entry.name.substr(kLatencyPrefix.size()))
-        .Append(entry.count)
-        .Append(entry.Quantile(0.50))
-        .Append(entry.Quantile(0.90))
-        .Append(entry.Quantile(0.99))
-        .Append(entry.max);
+        .Append(std::string(bucket.name))
+        .Append(entry->count)
+        .Append(entry->Quantile(0.50))
+        .Append(entry->Quantile(0.90))
+        .Append(entry->Quantile(0.99))
+        .Append(entry->max);
   }
 
   report.AttachMetrics(std::move(snapshot));

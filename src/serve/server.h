@@ -1,6 +1,7 @@
 #ifndef TPIIN_SERVE_SERVER_H_
 #define TPIIN_SERVE_SERVER_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -8,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -156,7 +158,6 @@ class Server {
   std::shared_ptr<const SnapshotGeneration> CurrentGeneration() const {
     return registry_->Current();
   }
-  uint32_t snapshot_crc() const { return registry_->Current()->crc(); }
 
   /// Reload surface for tests and embedders; the daemon reaches it via
   /// SIGHUP or the `reload` verb. Same contract as
@@ -179,8 +180,9 @@ class Server {
   ServeSummary Summary() const;
 
   /// The stats verb's payload: a RunReport-style JSON document with
-  /// server/request/cache sections, a per-verb latency percentile table
-  /// and the raw metric histograms.
+  /// server/request/cache sections, a latency percentile table (one row
+  /// per verb bucket that has seen a request) and the raw metric
+  /// histograms.
   RunReport BuildStatsReport() const;
 
   /// The metrics verb's payload and the --metrics-out snapshot body:
@@ -224,16 +226,19 @@ class Server {
   /// timeout, an expired line deadline, overlong input or error (the
   /// connection ends either way).
   bool ReadLine(int fd, std::string* buffer, std::string* line);
-  void WriteResponse(int fd, const Response& response);
   /// Writes one framed wire line (head, shared body, tail) with one
   /// vectored sendmsg per step, resuming short writes mid-part.
   /// False = the connection is dead (client hung up or stalled past the
   /// write deadline); the caller should wind the connection down.
   bool WriteWire(int fd, const FramedResponse& wire);
-  /// The `reload` and `healthz` verbs, answered by the server (not the
-  /// QueryService) because they speak about generations.
-  Response HandleReloadVerb(const Request& request);
-  Response HandleHealthzVerb(const Request& request);
+  /// Answers a verb whose kServeVerbs side is kDaemon: it speaks about
+  /// the daemon, its traffic or its generations, not the network. The
+  /// payload is the Build*() text of stats, slow, metrics and healthz;
+  /// reload answers the serving generation, path, CRC and `swapped`.
+  Response AnswerDaemonVerb(VerbId verb, const Request& request);
+  /// The healthz verb's payload: "ok", then the serving generation and
+  /// the reload counters.
+  std::string BuildHealthzPayload() const;
   void DrainConnections();
   /// Runs SnapshotRegistry::Reload whenever the acceptor forwards a
   /// SIGHUP reload byte; a dedicated thread, so a multi-second snapshot
@@ -264,6 +269,21 @@ class Server {
   /// detection stages' own spans. Null when disabled.
   std::unique_ptr<TraceRecorder> trace_;
   SlowRequestRing slow_ring_;
+
+  /// What one request is counted, timed and traced under: a table verb
+  /// (index = VerbId), or one of two fixed catch-alls.
+  struct VerbBucket {
+    std::string_view name;  ///< Metric-family suffix.
+    const char* span = nullptr;
+    Counter* requests = nullptr;
+    Histogram* latency_us = nullptr;
+  };
+  /// A parsed request whose verb is not in the table.
+  static constexpr size_t kOtherBucket = kServeVerbs.size();
+  /// A line that did not parse.
+  static constexpr size_t kMalformedBucket = kServeVerbs.size() + 1;
+  /// Filled once by the constructor; handles into metrics_.
+  std::array<VerbBucket, kServeVerbs.size() + 2> buckets_;
 
   std::thread metrics_writer_;
   std::mutex metrics_writer_mu_;

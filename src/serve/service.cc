@@ -224,33 +224,42 @@ Result<std::shared_ptr<const DetectionBundle>> QueryService::GetBundle(
 
 Response QueryService::Handle(const Request& request,
                               RequestTelemetry* telemetry) {
-  if (request.verb == "groups") return HandleGroups(request, telemetry);
-  if (request.verb == "explain") return HandleExplain(request, telemetry);
-  if (request.verb == "rescore") return HandleRescore(request, telemetry);
-  if (request.verb == "healthz") return HandleHealthz(request);
-  return ErrorResponse(
-      request,
-      Status::InvalidArgument(
-          "unknown verb: " + request.verb +
-          " (expected groups, explain, rescore, stats, slow, metrics, "
-          "healthz, reload)"));
+  const ServeVerb* verb = FindVerb(request.verb);
+  if (verb == nullptr) {
+    return ErrorResponse(request, UnknownVerbError(request.verb));
+  }
+  switch (verb->id) {
+    case VerbId::kGroups:
+      return HandleGroups(request, telemetry);
+    case VerbId::kExplain:
+      return HandleExplain(request, telemetry);
+    case VerbId::kRescore:
+      return HandleRescore(request, telemetry);
+    default:
+      return ErrorResponse(request, Status::InvalidArgument(
+                                        request.verb +
+                                        " is answered by the serve daemon"));
+  }
+}
+
+Result<NodeId> QueryService::FindCompany(const std::string& label) const {
+  auto it = node_by_label_.find(label);
+  if (it == node_by_label_.end()) {
+    return Status::NotFound("no node labeled " + label);
+  }
+  if (net_.node(it->second).color != NodeColor::kCompany) {
+    return Status::InvalidArgument(label + " is a Person node");
+  }
+  return it->second;
 }
 
 Response QueryService::HandleGroups(const Request& request,
                                     RequestTelemetry* telemetry) {
   NodeId filter = kInvalidNode;
   if (!request.company.empty()) {
-    auto it = node_by_label_.find(request.company);
-    if (it == node_by_label_.end()) {
-      return ErrorResponse(
-          request, Status::NotFound("no node labeled " + request.company));
-    }
-    if (net_.node(it->second).color != NodeColor::kCompany) {
-      return ErrorResponse(request, Status::InvalidArgument(
-                                        request.company +
-                                        " is a Person node"));
-    }
-    filter = it->second;
+    Result<NodeId> company = FindCompany(request.company);
+    if (!company.ok()) return ErrorResponse(request, company.status());
+    filter = *company;
   }
   Result<std::shared_ptr<const DetectionBundle>> bundle =
       GetBundle(EffectiveBudget(request), telemetry);
@@ -284,21 +293,13 @@ Response QueryService::HandleExplain(const Request& request,
     return ErrorResponse(
         request, Status::InvalidArgument("explain requires company=LABEL"));
   }
-  auto it = node_by_label_.find(request.company);
-  if (it == node_by_label_.end()) {
-    return ErrorResponse(
-        request, Status::NotFound("no node labeled " + request.company));
-  }
-  if (net_.node(it->second).color != NodeColor::kCompany) {
-    return ErrorResponse(
-        request,
-        Status::InvalidArgument(request.company + " is a Person node"));
-  }
+  Result<NodeId> company = FindCompany(request.company);
+  if (!company.ok()) return ErrorResponse(request, company.status());
   Result<std::shared_ptr<const DetectionBundle>> bundle =
       GetBundle(EffectiveBudget(request), telemetry);
   if (!bundle.ok()) return ErrorResponse(request, bundle.status());
   CompanyDossier dossier = BuildCompanyDossier(
-      net_, (*bundle)->detection, (*bundle)->scoring, it->second);
+      net_, (*bundle)->detection, (*bundle)->scoring, *company);
   return PayloadResponse(request, FormatCompanyDossier(net_, dossier),
                          (*bundle)->detection.degraded);
 }
@@ -375,10 +376,6 @@ Response QueryService::HandleRescore(const Request& request,
     shared_->sub_cache.Put(key, std::make_shared<const std::string>(payload));
   }
   return PayloadResponse(request, std::move(payload), degraded);
-}
-
-Response QueryService::HandleHealthz(const Request& request) {
-  return PayloadResponse(request, "ok\n", /*degraded=*/false);
 }
 
 }  // namespace tpiin

@@ -52,7 +52,8 @@ struct ServiceOptions {
 
 /// What evaluating one request cost, for the access log and the slow
 /// ring. Filled (when the caller passes one) by QueryService::Handle;
-/// all zeros/kNone for verbs that touch no cache (healthz, errors).
+/// all zeros/kNone for verbs that touch no cache (the daemon's verbs,
+/// errors).
 struct RequestTelemetry {
   enum class Cache { kNone, kHit, kMiss };
 
@@ -119,10 +120,10 @@ struct ServeSharedState {
   LruCache<std::string> sub_cache;
 };
 
-/// The verbs of the serve protocol, evaluated against one loaded TPIIN
-/// (normally a SnapshotView's net). Thread-safe: Handle may be called
-/// concurrently from any number of transport threads; caches are
-/// internally locked and the network itself is immutable.
+/// The serve verbs whose kServeVerbs side is kService, evaluated against
+/// one loaded TPIIN (normally a SnapshotView's net). Thread-safe: Handle
+/// may be called concurrently from any number of transport threads;
+/// caches are internally locked and the network itself is immutable.
 ///
 /// Byte-identity contract: for the same snapshot and options, the
 /// `groups` payload equals the batch `detect --out` susGroup.txt bytes
@@ -148,7 +149,8 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Evaluates one request. Never throws; failures become
+  /// Evaluates one request. Never throws; failures, a verb outside the
+  /// table (UnknownVerbError) and a daemon-side verb among them, become
   /// `status: error` responses. `status: degraded` marks sound-but-
   /// partial payloads (a binding budget). `telemetry` (nullable)
   /// receives what the evaluation cost (cache outcome, stage timings).
@@ -167,8 +169,6 @@ class QueryService {
       const Request& request) const {
     return shared_->bundle_cache.Peek(BundleKey(EffectiveBudget(request)));
   }
-
-  uint32_t snapshot_crc() const { return snapshot_crc_; }
 
   /// Marks this service's generation as retired: the snapshot it reads
   /// was superseded by a hot-reload. In-flight requests finish normally
@@ -200,10 +200,13 @@ class QueryService {
   /// the leader publishes `done`.
   struct BundleFlight;
 
+  /// The company node labeled `label` (the batch CLI's errors: NotFound
+  /// for an unknown label, InvalidArgument for a person).
+  Result<NodeId> FindCompany(const std::string& label) const;
+
   Response HandleGroups(const Request& request, RequestTelemetry* telemetry);
   Response HandleExplain(const Request& request, RequestTelemetry* telemetry);
   Response HandleRescore(const Request& request, RequestTelemetry* telemetry);
-  Response HandleHealthz(const Request& request);
 
   const Tpiin& net_;
   const uint32_t snapshot_crc_;

@@ -4,6 +4,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -66,6 +68,41 @@ void ExpectTimedReport(const std::string& path, const std::string& tool) {
   EXPECT_EQ(num_cpu, num_stages) << json;
   size_t threads_at = 0;
   EXPECT_GE(NumberAfter(json, "\"threads\": ", &threads_at), 1) << json;
+}
+
+// The seconds of stage `name` in a run report (-1 when absent).
+double StageSeconds(const std::string& json, const std::string& name) {
+  size_t pos = json.find("{\"name\": \"" + name + "\"");
+  if (pos == std::string::npos) return -1;
+  return NumberAfter(json, "\"seconds\": ", &pos);
+}
+
+// `build`'s snapshot figures come from its stage laps, not a second
+// clock: the cold start is the sum of the `cold_stages` rows and the
+// open is the snapshot_open row. Both sides are read back from the
+// report, which prints 9 significant digits, so they agree to that
+// precision (a relative 2e-8), and a second clock misses it by the
+// microseconds between two reads.
+void ExpectSnapshotFiguresAreLaps(const std::string& path,
+                                  const std::vector<std::string>& cold_stages) {
+  SCOPED_TRACE(path);
+  const std::string json = ReadFileToString(path);
+  double cold_seconds = 0;
+  for (const std::string& stage : cold_stages) {
+    const double seconds = StageSeconds(json, stage);
+    ASSERT_GT(seconds, 0) << stage << ": " << json;
+    cold_seconds += seconds;
+  }
+  const double open_seconds = StageSeconds(json, "snapshot_open");
+  ASSERT_GT(open_seconds, 0) << json;
+  size_t pos = json.find("\"snapshot\": {");
+  ASSERT_NE(pos, std::string::npos) << json;
+  const double cold_ms = NumberAfter(json, "\"cold_start_ms\": ", &pos);
+  const double open_ms = NumberAfter(json, "\"snapshot_open_ms\": ", &pos);
+  const double speedup = NumberAfter(json, "\"speedup\": ", &pos);
+  EXPECT_NEAR(cold_ms, 1e3 * cold_seconds, 2e-8 * cold_ms) << json;
+  EXPECT_NEAR(open_ms, 1e3 * open_seconds, 2e-8 * open_ms) << json;
+  EXPECT_NEAR(speedup, cold_seconds / open_seconds, 1e-7 * speedup) << json;
 }
 
 class CliTest : public ::testing::Test {
@@ -294,6 +331,11 @@ TEST_F(CliTest, RunReportAndTraceOutputs) {
   Run({"build", "--data=" + data_dir, "--out=" + dir_ + "/net.snap",
        "--report=" + build_report});
   ExpectTimedReport(build_report, "build");
+  ExpectSnapshotFiguresAreLaps(build_report, {"load_csv", "fuse"});
+  const std::string edge_build_report = dir_ + "/edge_build_report.json";
+  Run({"build", "--net=" + net_file, "--out=" + dir_ + "/edges.snap",
+       "--report=" + edge_build_report});
+  ExpectSnapshotFiguresAreLaps(edge_build_report, {"load_net"});
   const std::string shard_dir = dir_ + "/shards";
   std::string shard_build_report = dir_ + "/shard_build_report.json";
   Run({"shard", "build", "--data=" + data_dir, "--out=" + shard_dir,
@@ -334,6 +376,19 @@ TEST_F(CliTest, LogLevelFlagIsConsumedAnywhere) {
   EXPECT_NE(status.message().find("log-level"), std::string::npos);
   Run({"stats", "--net=" + net_file, "--log-level"}, &status);
   EXPECT_TRUE(status.IsInvalidArgument());
+  // Every occurrence is checked, not only the last one that wins.
+  Run({"stats", "--net=" + net_file, "--log-level=loud", "--log-level=info"},
+      &status);
+  EXPECT_TRUE(status.IsInvalidArgument());
+  EXPECT_EQ(status.message(),
+            "unknown --log-level: loud (expected debug|info|warning|error)");
+  SetLogLevel(LogLevel::kInfo);
+  // The other global flags share the consumer and its missing-value text.
+  for (const std::string flag : {"--log-json", "--failpoints"}) {
+    Run({"stats", "--net=" + net_file, flag}, &status);
+    EXPECT_TRUE(status.IsInvalidArgument()) << flag;
+    EXPECT_EQ(status.message(), flag + " requires a value");
+  }
 }
 
 }  // namespace

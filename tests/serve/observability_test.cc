@@ -1,13 +1,15 @@
 // Serve observability end to end: request IDs echoed on the wire and
 // monotonic per connection, exactly one NDJSON access-log record per
 // answered request (malformed and degraded included) plus one per busy
-// refusal, the metrics/slow verbs, --metrics-out and --trace-out
-// artifacts, and SIGHUP-driven access-log rotation through the CLI.
+// refusal, the metrics/slow verbs, metric families bounded by the verb
+// table, --metrics-out and --trace-out artifacts, and SIGHUP-driven
+// access-log rotation through the CLI.
 
 #include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -350,6 +352,115 @@ TEST_F(ObservabilityTest, TraceOutCapturesPerRequestSpans) {
   EXPECT_NE(trace.find("serve.request"), std::string::npos) << trace;
   EXPECT_NE(trace.find("serve.groups"), std::string::npos) << trace;
   EXPECT_NE(trace.find("serve.healthz"), std::string::npos) << trace;
+#endif
+}
+
+/// The value of the sample line `name value` in Prometheus text, or -1
+/// when absent.
+double SampleValue(const std::string& text, const std::string& name) {
+  for (const std::string& line : Lines(text)) {
+    if (line.rfind(name + " ", 0) == 0) {
+      return std::stod(line.substr(name.size() + 1));
+    }
+  }
+  return -1;
+}
+
+TEST_F(ObservabilityTest, UnknownVerbsMintNoMetricFamilies) {
+  std::unique_ptr<Server> server = StartServer();
+  ASSERT_NE(server, nullptr);
+  TestClient client = Connect(*server);
+
+  // Two of these collide with the synthesized status counters
+  // (serve.requests.ok / .errors), two would be brand-new families.
+  const std::vector<std::string> unknown = {"ok", "errors", "x1", "x2"};
+  for (const std::string& verb : unknown) {
+    Result<Response> resp = client.RoundTrip("{\"verb\": \"" + verb + "\"}");
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    EXPECT_EQ(resp->status, "error");
+    EXPECT_EQ(resp->verb, verb);
+    EXPECT_NE(resp->error.find("unknown verb: " + verb + " "),
+              std::string::npos)
+        << resp->error;
+  }
+
+  Result<Response> metrics = client.RoundTrip("metrics");
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  ASSERT_EQ(metrics->status, "ok") << metrics->error;
+  const std::string& text = metrics->payload;
+
+  // A well-formed exposition defines each family once.
+  std::set<std::string> types;
+  for (const std::string& line : Lines(text)) {
+    if (line.rfind("# TYPE ", 0) != 0) continue;
+    EXPECT_TRUE(types.insert(line).second) << "duplicate: " << line;
+  }
+  EXPECT_EQ(text.find("tpiin_serve_requests_x1_total"), std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("tpiin_serve_latency_us_x1"), std::string::npos)
+      << text;
+  EXPECT_EQ(SampleValue(text, "tpiin_serve_requests_ok_total"), 0);
+  EXPECT_EQ(SampleValue(text, "tpiin_serve_requests_errors_total"), 4);
+  // Unknown verbs share the fixed `other` bucket.
+  EXPECT_EQ(SampleValue(text, "tpiin_serve_requests_other_total"), 4);
+  EXPECT_EQ(SampleValue(text, "tpiin_serve_latency_us_other_count"), 4);
+
+  // Every table verb's counter exists from the first scrape, reload
+  // included before any reload ran; with the two catch-alls they
+  // partition the request total (this scrape counts itself).
+  EXPECT_NE(text.find("\ntpiin_serve_requests_reload_total 0\n"),
+            std::string::npos)
+      << text;
+  double per_verb = 0;
+  for (const ServeVerb& verb : kServeVerbs) {
+    const double value = SampleValue(
+        text, "tpiin_serve_requests_" + std::string(verb.name) + "_total");
+    EXPECT_GE(value, 0) << verb.name;
+    per_verb += value;
+  }
+  per_verb += SampleValue(text, "tpiin_serve_requests_other_total");
+  per_verb += SampleValue(text, "tpiin_serve_requests_malformed_total");
+  EXPECT_EQ(per_verb, SampleValue(text, "tpiin_serve_requests_total"));
+  EXPECT_EQ(per_verb, 5);
+
+  // The stats latency table lists only buckets that saw traffic.
+  Result<Response> stats = client.RoundTrip("stats");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_EQ(stats->status, "ok") << stats->error;
+  EXPECT_NE(stats->payload.find("[\"other\", 4,"), std::string::npos)
+      << stats->payload;
+  EXPECT_EQ(stats->payload.find("[\"reload\","), std::string::npos)
+      << stats->payload;
+  EXPECT_EQ(stats->payload.find("\"x1\""), std::string::npos)
+      << stats->payload;
+}
+
+TEST_F(ObservabilityTest, EveryTableVerbIsDispatchedAndTraced) {
+  ServeOptions options;
+  options.trace_out_path = dir_ + "/trace.json";
+  std::unique_ptr<Server> server = StartServer(options);
+  ASSERT_NE(server, nullptr);
+  {
+    TestClient client = Connect(*server);
+    for (const ServeVerb& verb : kServeVerbs) {
+      Result<Response> resp = client.RoundTrip(std::string(verb.name));
+      ASSERT_TRUE(resp.ok()) << verb.name << ": " << resp.status().ToString();
+      EXPECT_EQ(resp->verb, verb.name);
+      EXPECT_EQ(resp->error.find("unknown verb"), std::string::npos)
+          << verb.name << ": " << resp->error;
+    }
+  }
+  server->Shutdown();
+  server->Wait();
+
+  const std::string trace = ReadFileToString(options.trace_out_path);
+  ASSERT_FALSE(trace.empty());
+#if TPIIN_OBS_ENABLED
+  for (const ServeVerb& verb : kServeVerbs) {
+    EXPECT_NE(trace.find("\"name\":\"" + std::string(verb.span) + "\""),
+              std::string::npos)
+        << verb.span;
+  }
 #endif
 }
 

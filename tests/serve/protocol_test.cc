@@ -243,5 +243,22 @@ TEST(ProtocolTest, ParseResponseRequiresStatus) {
   EXPECT_EQ(ok->id, -1);
 }
 
+TEST(ProtocolTest, VerbTableLookupAndList) {
+  for (const ServeVerb& verb : kServeVerbs) {
+    SCOPED_TRACE(std::string(verb.name));
+    EXPECT_EQ(FindVerb(verb.name), &verb);
+    EXPECT_EQ(std::string(verb.span), "serve." + std::string(verb.name));
+  }
+  EXPECT_EQ(FindVerb("other"), nullptr);
+  EXPECT_EQ(FindVerb("Groups"), nullptr);
+  EXPECT_EQ(FindVerb(""), nullptr);
+  EXPECT_EQ(ServeVerbList(),
+            "groups, explain, rescore, stats, slow, metrics, healthz, reload");
+  const Status unknown = UnknownVerbError("x1");
+  EXPECT_TRUE(unknown.IsInvalidArgument());
+  EXPECT_EQ(unknown.message(),
+            "unknown verb: x1 (expected " + ServeVerbList() + ")");
+}
+
 }  // namespace
 }  // namespace tpiin

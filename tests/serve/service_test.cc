@@ -280,7 +280,10 @@ TEST_F(ServiceTest, ErrorTextsMatchBatchCli) {
 
   Response unknown = service->Handle(MakeRequest("frobnicate"));
   EXPECT_EQ(unknown.status, "error");
-  EXPECT_NE(unknown.error.find("unknown verb"), std::string::npos);
+  EXPECT_EQ(unknown.verb, "frobnicate");
+  EXPECT_EQ(unknown.error,
+            "InvalidArgument: unknown verb: frobnicate (expected groups, "
+            "explain, rescore, stats, slow, metrics, healthz, reload)");
 }
 
 TEST_F(ServiceTest, RescoreCachedAndUncachedAreByteIdentical) {
@@ -443,12 +446,27 @@ TEST_F(ServiceTest, ConcurrentFirstFullGroupsRenderTheExportOnce) {
   }
 }
 
-TEST_F(ServiceTest, HealthzAlwaysOk) {
+TEST_F(ServiceTest, DaemonVerbsAreLeftToTheDaemon) {
   OpenSnapshotOf(BuildWorkedExampleTpiin());
   std::unique_ptr<QueryService> service = MakeService(1, true);
-  Response resp = service->Handle(MakeRequest("healthz"));
-  EXPECT_EQ(resp.status, "ok");
-  EXPECT_EQ(resp.payload, "ok\n");
+  // The service answers the table's service-side verbs; a daemon-side
+  // verb (healthz, stats, reload, ...) is an error naming the verb, and
+  // never the unknown-verb error: it is in the table.
+  for (const ServeVerb& verb : kServeVerbs) {
+    SCOPED_TRACE(std::string(verb.name));
+    Request request = MakeRequest(std::string(verb.name));
+    request.sub = 0;
+    Response resp = service->Handle(request);
+    EXPECT_EQ(resp.verb, verb.name);
+    EXPECT_EQ(resp.error.find("unknown verb"), std::string::npos)
+        << resp.error;
+    const bool left_to_daemon =
+        resp.error.find("answered by the serve daemon") != std::string::npos;
+    EXPECT_EQ(left_to_daemon, verb.side == VerbSide::kDaemon) << resp.error;
+    if (left_to_daemon) {
+      EXPECT_EQ(resp.status, "error");
+    }
+  }
 }
 
 }  // namespace
