@@ -437,8 +437,9 @@ Status RunDetect(const std::vector<std::string>& args, std::ostream& out,
   ObsOutputs obs(flags);
   TPIIN_ASSIGN_OR_RETURN(LoadedNet loaded, LoadNetwork(flags, "detect"));
   const Tpiin& net = loaded.net();
+  const uint32_t threads = static_cast<uint32_t>(flags.GetInt64("threads"));
   DetectorOptions options;
-  options.num_threads = static_cast<uint32_t>(flags.GetInt64("threads"));
+  options.num_threads = threads;
   options.budget = BudgetFromFlags(flags);
   TPIIN_ASSIGN_OR_RETURN(DetectionResult detection,
                          DetectSuspiciousGroups(net, options));
@@ -449,7 +450,10 @@ Status RunDetect(const std::vector<std::string>& args, std::ostream& out,
     if (exit_code != nullptr) *exit_code = 2;
   }
 
-  ScoringResult scoring = ScoreDetection(net, detection);
+  ScoringResult scoring = [&] {
+    TPIIN_SPAN("score");
+    return ScoreDetection(net, detection);
+  }();
   size_t top = std::min<size_t>(scoring.ranked_trades.size(),
                                 FlagAtLeast(flags, "top", 0));
   if (top > 0) {
@@ -473,24 +477,35 @@ Status RunDetect(const std::vector<std::string>& args, std::ostream& out,
   if (!out_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(out_dir, ec);
-    TPIIN_RETURN_IF_ERROR(WriteSuspiciousGroupsFile(
-        out_dir + "/susGroup.txt", net, detection.groups));
-    TPIIN_RETURN_IF_ERROR(WriteSuspiciousTradesFile(
-        out_dir + "/susTrade.txt", net, detection.suspicious_trades));
-    TPIIN_RETURN_IF_ERROR(
-        WriteDetectionReport(out_dir + "/report.txt", net, detection));
-    // The canonical ranked report: `tpiin shard merge` reproduces this
-    // file byte for byte from a sharded run over the same dataset.
-    TPIIN_RETURN_IF_ERROR(WriteFileAtomic(
-        out_dir + "/ranked.txt",
-        RenderCanonicalReport(
-            BuildCanonicalReport(net, detection, scoring))));
+    {
+      TPIIN_SPAN("write_sus_group");
+      TPIIN_RETURN_IF_ERROR(WriteSuspiciousGroupsFile(
+          out_dir + "/susGroup.txt", net, detection.groups, threads));
+    }
+    {
+      TPIIN_SPAN("write_sus_trade");
+      TPIIN_RETURN_IF_ERROR(WriteSuspiciousTradesFile(
+          out_dir + "/susTrade.txt", net, detection.suspicious_trades));
+    }
+    {
+      TPIIN_SPAN("write_report");
+      TPIIN_RETURN_IF_ERROR(WriteDetectionReport(out_dir + "/report.txt",
+                                                 net, detection, threads));
+    }
+    {
+      // The canonical ranked report: `tpiin shard merge` reproduces this
+      // file byte for byte from a sharded run over the same dataset.
+      TPIIN_SPAN("write_ranked");
+      TPIIN_RETURN_IF_ERROR(WriteFileAtomic(
+          out_dir + "/ranked.txt",
+          RenderCanonicalReport(
+              BuildCanonicalReport(net, detection, scoring))));
+    }
     out << "\nreports written to " << out_dir << "\n";
   }
 
   RunReport report("detect");
-  report.set_threads(
-      ResolveThreadCount(static_cast<uint32_t>(flags.GetInt64("threads"))));
+  report.set_threads(ResolveThreadCount(threads));
   loaded.AddToReport(&report);
   AddDetectionToReport(detection, FlagAtLeast(flags, "top", 0), &report);
   return obs.Finish(&report, out);

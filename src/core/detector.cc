@@ -194,6 +194,13 @@ Result<DetectionResult> DetectSuspiciousGroups(const Tpiin& net,
 
   TraceSpan finalize_span("finalize");
   result.sub_profiles.reserve(subs.size());
+  if (options.match.collect_groups) {
+    size_t num_groups = 0;
+    for (const SubOutcome& outcome : outcomes) {
+      num_groups += outcome.match.groups.size();
+    }
+    result.groups.reserve(num_groups);
+  }
   std::vector<ArcId> suspicious_arcs;
   for (size_t index = 0; index < outcomes.size(); ++index) {
     SubOutcome& outcome = outcomes[index];

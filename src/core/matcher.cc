@@ -79,23 +79,38 @@ SuspiciousGroup BuildCycleGroup(const SubTpiin& sub,
 
 }  // namespace
 
+void AppendGroupLine(const Tpiin& net, const SuspiciousGroup& group,
+                     std::string_view prefix, std::string* out) {
+  auto label = [&](NodeId v) {
+    const std::string_view text = net.Label(v);
+    out->append(text.data(), text.size());
+  };
+  auto trail = [&](const std::vector<NodeId>& nodes) {
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      if (i > 0) out->append(", ", 2);
+      label(nodes[i]);
+    }
+  };
+  out->append(prefix.data(), prefix.size());
+  label(group.antecedent);
+  out->append(": {", 3);
+  trail(group.trade_trail);
+  out->append(" -> ", 4);
+  label(group.trade_buyer);
+  out->append("} | {", 5);
+  trail(group.partner_trail);
+  out->push_back('}');
+  if (group.from_cycle) out->append(" [circle]", 9);
+  if (group.is_simple) {
+    out->append(" [simple]", 9);
+  } else {
+    out->append(" [complex]", 10);
+  }
+}
+
 std::string SuspiciousGroup::Format(const Tpiin& net) const {
-  std::string out(net.Label(antecedent));
-  out += ": {";
-  for (size_t i = 0; i < trade_trail.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += net.Label(trade_trail[i]);
-  }
-  out += " -> ";
-  out += net.Label(trade_buyer);
-  out += "} | {";
-  for (size_t i = 0; i < partner_trail.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += net.Label(partner_trail[i]);
-  }
-  out += "}";
-  if (from_cycle) out += " [circle]";
-  out += is_simple ? " [simple]" : " [complex]";
+  std::string out;
+  AppendGroupLine(net, *this, {}, &out);
   return out;
 }
 

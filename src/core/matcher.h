@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -43,9 +44,18 @@ struct SuspiciousGroup {
   /// Sorted union of the nodes of both trails plus the buyer.
   std::vector<NodeId> members;
 
-  /// Renders "antecedent: trail1 | trail2" with node labels.
+  /// This group's susGroup line without the newline (AppendGroupLine
+  /// with no prefix); kept for diagnostics in tests and benches.
   std::string Format(const Tpiin& net) const;
 };
+
+/// Appends `prefix` and then `group`'s susGroup line, without the
+/// trailing newline, to *out: "antecedent: {trail1 -> buyer} |
+/// {trail2} [flags]" with node labels. The one renderer of that line:
+/// susGroup.txt, report.txt's group section and serve's `groups`
+/// answers all go through it.
+void AppendGroupLine(const Tpiin& net, const SuspiciousGroup& group,
+                     std::string_view prefix, std::string* out);
 
 struct MatchOptions {
   /// Materialize SuspiciousGroup records. Counting-only runs (large

@@ -1,6 +1,7 @@
 #ifndef TPIIN_IO_PATTERN_FILE_H_
 #define TPIIN_IO_PATTERN_FILE_H_
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,16 +20,20 @@ Status WritePatternBaseFile(const std::string& path, const SubTpiin& sub,
                             const PatternBase& base);
 
 /// Renders detected suspicious groups in the paper's susGroup(i)
-/// layout: one group per line, "antecedent: {trail1} | {trail2}
-/// [flags]". The single source of the format — the batch file writer
-/// below streams exactly these bytes, and the serve layer's `groups`
-/// verb returns them, so the two are diffable byte for byte.
+/// layout: one AppendGroupLine line per group, in detection order. The
+/// batch file writer below streams exactly these bytes, and the serve
+/// layer's `groups` verb returns them, so the two are diffable byte for
+/// byte. Groups are rendered in bounded batches on up to `num_threads`
+/// threads (0 = auto-detect); the output is the same at any count.
 std::string RenderSuspiciousGroups(const Tpiin& net,
-                                   const std::vector<SuspiciousGroup>& groups);
+                                   const std::vector<SuspiciousGroup>& groups,
+                                   uint32_t num_threads = 0);
 
-/// Writes RenderSuspiciousGroups to the susGroup(i) file.
+/// Streams the RenderSuspiciousGroups bytes to the susGroup(i) file one
+/// batch at a time: memory is bounded by the batch, not the group count.
 Status WriteSuspiciousGroupsFile(const std::string& path, const Tpiin& net,
-                                 const std::vector<SuspiciousGroup>& groups);
+                                 const std::vector<SuspiciousGroup>& groups,
+                                 uint32_t num_threads = 0);
 
 /// Writes suspicious trading relationships as susTrade(i): one
 /// "seller -> buyer" pair per line.
@@ -36,9 +41,12 @@ Status WriteSuspiciousTradesFile(
     const std::string& path, const Tpiin& net,
     const std::vector<std::pair<NodeId, NodeId>>& trades);
 
-/// Full detection report (summary + groups + trades) in one text file.
+/// Full detection report (summary + trades + groups) in one text file;
+/// the group section is susGroup(i) with every line indented by two
+/// spaces, streamed like WriteSuspiciousGroupsFile.
 Status WriteDetectionReport(const std::string& path, const Tpiin& net,
-                            const DetectionResult& result);
+                            const DetectionResult& result,
+                            uint32_t num_threads = 0);
 
 }  // namespace tpiin
 

@@ -115,6 +115,10 @@ Server::Server(const ServeOptions& options)
   }
   add(kOtherBucket, "other", "serve.other");
   add(kMalformedBucket, "malformed", "serve.malformed");
+  inflight_ = &metrics_.GetGauge("serve.inflight");
+  queue_us_ = &metrics_.GetHistogram("serve.queue_us");
+  write_us_ = &metrics_.GetHistogram("serve.write_us");
+  total_us_ = &metrics_.GetHistogram("serve.total_us");
 }
 
 Result<std::unique_ptr<Server>> Server::Start(const ServeOptions& options) {
@@ -517,8 +521,7 @@ void Server::HandleConnection(int fd, uint64_t conn_id,
         "c%llu-r%llu", static_cast<unsigned long long>(conn_id),
         static_cast<unsigned long long>(request_seq));
     requests_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.GetGauge("serve.inflight")
-        .Set(static_cast<int64_t>(admission_.inflight()));
+    inflight_->Set(static_cast<int64_t>(admission_.inflight()));
 
     WallTimer timer;
     Response resp;
@@ -578,7 +581,7 @@ void Server::HandleConnection(int fd, uint64_t conn_id,
     const uint64_t handle_us =
         static_cast<uint64_t>(timer.ElapsedMicros());
     bucket.latency_us->Record(handle_us);
-    metrics_.GetHistogram("serve.queue_us").Record(queue_us);
+    queue_us_->Record(queue_us);
 
     WallTimer serialize_timer;
     const FramedResponse wire = FrameResponse(resp);
@@ -616,8 +619,8 @@ void Server::HandleConnection(int fd, uint64_t conn_id,
     const uint64_t write_us =
         static_cast<uint64_t>(write_timer.ElapsedMicros());
     const uint64_t total_us = queue_us + handle_us + serialize_us + write_us;
-    metrics_.GetHistogram("serve.write_us").Record(write_us);
-    metrics_.GetHistogram("serve.total_us").Record(total_us);
+    write_us_->Record(write_us);
+    total_us_->Record(total_us);
     if (slow_ring_.capacity() > 0) {
       SlowRequest slow;
       slow.request_id = request_id;
@@ -638,8 +641,7 @@ void Server::HandleConnection(int fd, uint64_t conn_id,
     }
 
     admission_.ReleaseRequestSlot();
-    metrics_.GetGauge("serve.inflight")
-        .Set(static_cast<int64_t>(admission_.inflight()));
+    inflight_->Set(static_cast<int64_t>(admission_.inflight()));
     // A dead write half means the client is gone; further reads would
     // only evaluate requests whose answers cannot be delivered.
     if (!wrote) break;

@@ -284,6 +284,12 @@ class Server {
   static constexpr size_t kMalformedBucket = kServeVerbs.size() + 1;
   /// Filled once by the constructor; handles into metrics_.
   std::array<VerbBucket, kServeVerbs.size() + 2> buckets_;
+  /// The per-request families every verb shares, also taken once by
+  /// the constructor so the connection loop never looks a name up.
+  Gauge* inflight_ = nullptr;
+  Histogram* queue_us_ = nullptr;
+  Histogram* write_us_ = nullptr;
+  Histogram* total_us_ = nullptr;
 
   std::thread metrics_writer_;
   std::mutex metrics_writer_mu_;

@@ -47,9 +47,9 @@ void FillDetectTimings(const DetectionTimings& timings,
 }  // namespace
 
 const DetectionBundle::GroupsExport& DetectionBundle::Export(
-    const Tpiin& net) const {
+    const Tpiin& net, uint32_t num_threads) const {
   std::call_once(export_once_, [&] {
-    export_.text = RenderSuspiciousGroups(net, detection.groups);
+    export_.text = RenderSuspiciousGroups(net, detection.groups, num_threads);
     export_.escaped =
         std::make_shared<const std::string>(JsonEscape(export_.text));
     export_rendered_.store(true, std::memory_order_release);
@@ -269,7 +269,8 @@ Response QueryService::HandleGroups(const Request& request,
     // The full susGroup.txt bytes (rendered once per bundle), so the
     // batch artifact diffs clean; the wire carries the bundle's escaped
     // copy as it is.
-    const DetectionBundle::GroupsExport& exported = (*bundle)->Export(net_);
+    const DetectionBundle::GroupsExport& exported =
+        (*bundle)->Export(net_, options_.threads);
     Response resp = PayloadResponse(request, exported.text, detection.degraded);
     resp.escaped_payload = exported.escaped;
     return resp;
@@ -280,8 +281,8 @@ Response QueryService::HandleGroups(const Request& request,
   for (const SuspiciousGroup& group : detection.groups) {
     if (std::binary_search(group.members.begin(), group.members.end(),
                            filter)) {
-      payload += group.Format(net_);
-      payload += "\n";
+      AppendGroupLine(net_, group, {}, &payload);
+      payload.push_back('\n');
     }
   }
   return PayloadResponse(request, std::move(payload), detection.degraded);
@@ -370,7 +371,7 @@ Response QueryService::HandleRescore(const Request& request,
       sub.frozen.NumNodes(), sub.frozen.NumArcs(), sub.num_influence_arcs,
       sub.num_trading_arcs(), gen->num_trails, match.num_simple,
       match.num_complex, match.num_cycle_groups);
-  payload += RenderSuspiciousGroups(net_, match.groups);
+  payload += RenderSuspiciousGroups(net_, match.groups, options_.threads);
 
   if (!degraded && !retired()) {
     shared_->sub_cache.Put(key, std::make_shared<const std::string>(payload));

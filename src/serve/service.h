@@ -88,8 +88,10 @@ struct DetectionBundle {
   /// copy of `text` (Response::payload) and none of the wire form.
   /// Concurrent first requests render it once (std::call_once). A
   /// bundle that only ever answers filtered `groups?company=` or
-  /// `explain` (what-if keys, typically) never renders it.
-  const GroupsExport& Export(const Tpiin& net) const;
+  /// `explain` (what-if keys, typically) never renders it. The render
+  /// runs on up to `num_threads` threads (0 = auto-detect).
+  const GroupsExport& Export(const Tpiin& net,
+                             uint32_t num_threads = 0) const;
 
   /// Whether Export has rendered the export yet (introspection for
   /// tests).
