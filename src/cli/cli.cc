@@ -13,7 +13,6 @@
 #include "common/thread_pool.h"
 #include "common/rng.h"
 #include "common/string_util.h"
-#include "common/timer.h"
 #include "core/detector.h"
 #include "core/explain.h"
 #include "core/incremental.h"
@@ -135,11 +134,12 @@ Status ApplyGlobalFlags(std::vector<std::string>& args) {
   return Status::OK();
 }
 
-// Shared --report / --trace-out handling for the pipeline commands.
-// DefineFlags() before FlagParser::Parse, construct after it: the
-// constructor resets the run-wide metrics, installs the trace recorder
-// and starts the command's wall clock; Finish() stamps the report's
-// total_seconds from that clock and writes both artifacts.
+// Shared --report / --trace-out handling for the report-writing
+// commands. DefineFlags() before FlagParser::Parse, construct after it:
+// the constructor resets the run-wide metrics and installs a trace
+// recorder on every run, whose stage spans are the report's stage rows;
+// Finish() takes the rows and total_seconds from the recorder and
+// writes the artifacts that were asked for.
 class ObsOutputs {
  public:
   static void DefineFlags(FlagParser& flags) {
@@ -151,20 +151,16 @@ class ObsOutputs {
   explicit ObsOutputs(const FlagParser& flags)
       : report_path_(flags.GetString("report")),
         trace_path_(flags.GetString("trace-out")) {
-    timer_.Restart();
     if (!report_path_.empty()) MetricsRegistry::Global().Reset();
-    if (!trace_path_.empty()) {
-      recorder_ = std::make_unique<TraceRecorder>();
-      recorder_->Install();
-    }
+    recorder_.Install();
   }
 
   /// Writes the trace and the report (the caller fills `report` first).
   Status Finish(RunReport* report, std::ostream& out) {
-    report->set_total_seconds(timer_.ElapsedSeconds());
-    if (recorder_ != nullptr) {
-      TraceRecorder::Uninstall();
-      if (!recorder_->WriteChromeTrace(trace_path_)) {
+    report->SetStagesFrom(recorder_);
+    TraceRecorder::Uninstall();
+    if (!trace_path_.empty()) {
+      if (!recorder_.WriteChromeTrace(trace_path_)) {
         return Status::IOError("cannot write trace to " + trace_path_);
       }
       out << "trace written to " << trace_path_ << "\n";
@@ -182,8 +178,7 @@ class ObsOutputs {
  private:
   std::string report_path_;
   std::string trace_path_;
-  std::unique_ptr<TraceRecorder> recorder_;
-  WallTimer timer_;
+  TraceRecorder recorder_;
 };
 
 // Network input shared by every mining command: --net=FILE parses a
@@ -199,24 +194,9 @@ void DefineNetworkFlags(FlagParser& flags) {
 struct LoadedNet {
   Tpiin owned;
   std::unique_ptr<SnapshotView> view;
-  double open_seconds = 0;
-  double open_cpu_seconds = 0;
   bool from_snapshot = false;
 
   const Tpiin& net() const { return view != nullptr ? view->net() : owned; }
-
-  /// Records where the network came from and how long the open took.
-  /// `snapshot_open_ms` is the mmap+validate cost the snapshot path pays
-  /// instead of the edge-list parse (or the full CSV cold start — see
-  /// the `build` report's cold_start_ms for that comparison).
-  void AddToReport(RunReport* report) const {
-    report->AddStage(from_snapshot ? "snapshot_open" : "load_net",
-                     open_seconds, open_cpu_seconds);
-    ReportSection& section = report->Section("input");
-    section.Set("source", from_snapshot ? "snapshot" : "edge_list");
-    section.Set(from_snapshot ? "snapshot_open_ms" : "load_net_ms",
-                open_seconds * 1e3);
-  }
 };
 
 Result<LoadedNet> LoadNetwork(const FlagParser& flags,
@@ -227,15 +207,17 @@ Result<LoadedNet> LoadNetwork(const FlagParser& flags,
     return Status::InvalidArgument(
         command + " requires exactly one of --net=FILE or --snapshot=FILE");
   }
+  // snapshot_open (mmap + validate) is what the snapshot path pays
+  // instead of load_net (or the CSV cold start: `build`'s cold_start_ms).
   LoadedNet loaded;
-  StageTimer timer;
-  if (!snapshot_path.empty()) {
+  loaded.from_snapshot = !snapshot_path.empty();
+  TraceSpan stage(loaded.from_snapshot ? "snapshot_open" : "load_net",
+                  kStage);
+  if (loaded.from_snapshot) {
     TPIIN_ASSIGN_OR_RETURN(loaded.view, SnapshotView::Open(snapshot_path));
-    loaded.from_snapshot = true;
   } else {
     TPIIN_ASSIGN_OR_RETURN(loaded.owned, ReadTpiinEdgeList(net_path));
   }
-  timer.Lap(&loaded.open_seconds, &loaded.open_cpu_seconds);
   return loaded;
 }
 
@@ -264,42 +246,38 @@ Status RunBuild(const std::vector<std::string>& args, std::ostream& out) {
   RunReport report("build");
   report.set_threads(1);
 
-  // Every figure below is a stage lap; `lap` records one and returns its
-  // wall seconds.
-  StageTimer stage;
-  const auto lap = [&](const std::string& name) {
-    double wall = 0;
-    double cpu = 0;
-    stage.Lap(&wall, &cpu);
-    report.AddStage(name, wall, cpu);
-    return wall;
-  };
-  // The cold start the snapshot replaces: CSV ingest + fusion (or the
-  // edge-list parse).
+  // Every figure below is a stage span's Stop() reading, the same
+  // figure its report row carries. The cold start the snapshot replaces:
+  // CSV ingest + fusion (or the edge-list parse).
   double cold_start_s = 0;
   Tpiin net;
   if (!data_dir.empty()) {
+    TraceSpan load_stage("load_csv", kStage);
     TPIIN_ASSIGN_OR_RETURN(RawDataset dataset, LoadDatasetCsv(data_dir));
-    cold_start_s += lap("load_csv");
+    cold_start_s += load_stage.Stop();
+    TraceSpan fuse_stage("fuse", kStage);
     TPIIN_ASSIGN_OR_RETURN(FusionOutput fused, BuildTpiin(dataset));
-    cold_start_s += lap("fuse");
+    cold_start_s += fuse_stage.Stop();
     out << fused.stats.ToString() << "\n";
     net = std::move(fused.tpiin);
   } else {
+    TraceSpan load_stage("load_net", kStage);
     TPIIN_ASSIGN_OR_RETURN(net, ReadTpiinEdgeList(net_path));
-    cold_start_s += lap("load_net");
+    cold_start_s += load_stage.Stop();
   }
 
   SnapshotWriteOptions options;
   options.include_wcc_index = flags.GetBool("wcc-index");
+  TraceSpan write_stage("snapshot_write", kStage);
   TPIIN_RETURN_IF_ERROR(WriteSnapshot(net, flags.GetString("out"), options));
-  lap("snapshot_write");
+  write_stage.Stop();
 
   // Re-open what was just written: verifies the round trip end to end
   // and measures the open cost every later --snapshot run will pay.
+  TraceSpan open_stage("snapshot_open", kStage);
   TPIIN_ASSIGN_OR_RETURN(std::unique_ptr<SnapshotView> view,
                          SnapshotView::Open(flags.GetString("out")));
-  const double open_s = lap("snapshot_open");
+  const double open_s = open_stage.Stop();
 
   out << "snapshot written to " << flags.GetString("out") << " ("
       << view->file_size() << " bytes, " << net.NumNodes() << " nodes, "
@@ -388,11 +366,15 @@ Status RunFuse(const std::vector<std::string>& args, std::ostream& out) {
     return Status::InvalidArgument("fuse requires --data=DIR --out=FILE");
   }
   ObsOutputs obs(flags);
+  TraceSpan load_stage("load_csv", kStage);
   TPIIN_ASSIGN_OR_RETURN(RawDataset dataset,
                          LoadDatasetCsv(flags.GetString("data")));
+  load_stage.Stop();
   TPIIN_ASSIGN_OR_RETURN(FusionOutput fused, BuildTpiin(dataset));
+  TraceSpan write_stage("write_net", kStage);
   TPIIN_RETURN_IF_ERROR(
       WriteTpiinEdgeList(flags.GetString("out"), fused.tpiin));
+  write_stage.Stop();
   out << fused.stats.ToString() << "\n";
   out << "TPIIN written to " << flags.GetString("out") << "\n";
 
@@ -451,7 +433,7 @@ Status RunDetect(const std::vector<std::string>& args, std::ostream& out,
   }
 
   ScoringResult scoring = [&] {
-    TPIIN_SPAN("score");
+    TraceSpan stage("score", kStage);
     return ScoreDetection(net, detection);
   }();
   size_t top = std::min<size_t>(scoring.ranked_trades.size(),
@@ -467,6 +449,7 @@ Status RunDetect(const std::vector<std::string>& args, std::ostream& out,
   }
 
   if (!flags.GetString("json").empty()) {
+    TraceSpan stage("write_json", kStage);
     TPIIN_RETURN_IF_ERROR(WriteStringToFile(
         flags.GetString("json"),
         DetectionToJson(net, detection, &scoring)));
@@ -478,24 +461,24 @@ Status RunDetect(const std::vector<std::string>& args, std::ostream& out,
     std::error_code ec;
     std::filesystem::create_directories(out_dir, ec);
     {
-      TPIIN_SPAN("write_sus_group");
+      TraceSpan stage("write_sus_group", kStage);
       TPIIN_RETURN_IF_ERROR(WriteSuspiciousGroupsFile(
           out_dir + "/susGroup.txt", net, detection.groups, threads));
     }
     {
-      TPIIN_SPAN("write_sus_trade");
+      TraceSpan stage("write_sus_trade", kStage);
       TPIIN_RETURN_IF_ERROR(WriteSuspiciousTradesFile(
           out_dir + "/susTrade.txt", net, detection.suspicious_trades));
     }
     {
-      TPIIN_SPAN("write_report");
+      TraceSpan stage("write_report", kStage);
       TPIIN_RETURN_IF_ERROR(WriteDetectionReport(out_dir + "/report.txt",
                                                  net, detection, threads));
     }
     {
       // The canonical ranked report: `tpiin shard merge` reproduces this
       // file byte for byte from a sharded run over the same dataset.
-      TPIIN_SPAN("write_ranked");
+      TraceSpan stage("write_ranked", kStage);
       TPIIN_RETURN_IF_ERROR(WriteFileAtomic(
           out_dir + "/ranked.txt",
           RenderCanonicalReport(
@@ -506,7 +489,8 @@ Status RunDetect(const std::vector<std::string>& args, std::ostream& out,
 
   RunReport report("detect");
   report.set_threads(ResolveThreadCount(threads));
-  loaded.AddToReport(&report);
+  report.Section("input").Set("source",
+                              loaded.from_snapshot ? "snapshot" : "edge_list");
   AddDetectionToReport(detection, FlagAtLeast(flags, "top", 0), &report);
   return obs.Finish(&report, out);
 }

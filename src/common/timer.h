@@ -6,8 +6,8 @@
 
 namespace tpiin {
 
-/// Monotonic wall-clock stopwatch used by the benchmark harnesses and the
-/// detector's per-stage timing report.
+/// Monotonic wall-clock stopwatch used by the benchmark harnesses and
+/// serve's per-request latencies (pipeline stages use stage spans).
 class WallTimer {
  public:
   WallTimer() : start_(Clock::now()) {}

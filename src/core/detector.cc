@@ -87,16 +87,12 @@ Result<DetectionResult> DetectSuspiciousGroups(const Tpiin& net,
   TPIIN_SPAN("detect");
   DetectionResult result;
   result.total_trading_arcs = net.num_trading_arcs();
-  WallTimer total_timer;
-  StageTimer stage_timer;
 
-  std::vector<SubTpiin> subs;
-  {
-    TPIIN_SPAN("segment");
-    subs = SegmentTpiin(net, SegmentOptions{}, &result.segment_stats);
-  }
-  stage_timer.Lap(&result.timings.segment_seconds,
-                  &result.timings.segment_cpu_seconds);
+  TraceSpan segment_stage("segment", kStage);
+  std::vector<SubTpiin> subs =
+      SegmentTpiin(net, SegmentOptions{}, &result.segment_stats);
+  result.timings.segment_seconds = segment_stage.Stop();
+  TraceSpan mine_stage("mine", kStage);
   result.num_subtpiins = subs.size();
   TPIIN_COUNTER_ADD("detect.subtpiins", subs.size());
 
@@ -182,17 +178,13 @@ Result<DetectionResult> DetectSuspiciousGroups(const Tpiin& net,
   // failing subTPIIN (bad precondition, injected fault) cancels siblings
   // not yet started and surfaces the lowest-index error; completed
   // siblings' outcomes are simply dropped with the whole result.
-  {
-    TPIIN_SPAN("mine");
-    CancelToken cancel;
-    TPIIN_RETURN_IF_ERROR(ThreadPool::Global().ParallelForChecked(
-        subs.size(), ResolveThreadCount(options.num_threads), process_one,
-        &cancel));
-  }
-  stage_timer.Lap(&result.timings.mine_seconds,
-                  &result.timings.mine_cpu_seconds);
+  CancelToken cancel;
+  TPIIN_RETURN_IF_ERROR(ThreadPool::Global().ParallelForChecked(
+      subs.size(), ResolveThreadCount(options.num_threads), process_one,
+      &cancel));
+  result.timings.mine_seconds = mine_stage.Stop();
 
-  TraceSpan finalize_span("finalize");
+  TraceSpan finalize_stage("finalize", kStage);
   result.sub_profiles.reserve(subs.size());
   if (options.match.collect_groups) {
     size_t num_groups = 0;
@@ -267,9 +259,13 @@ Result<DetectionResult> DetectSuspiciousGroups(const Tpiin& net,
     }
   }
 
-  stage_timer.Lap(&result.timings.finalize_seconds,
-                  &result.timings.finalize_cpu_seconds);
-  result.timings.total_seconds = total_timer.ElapsedSeconds();
+  // Free the per-subTPIIN working set inside the stage, not after it.
+  subs.clear();
+  outcomes.clear();
+  result.timings.finalize_seconds = finalize_stage.Stop();
+  result.timings.total_seconds = result.timings.segment_seconds +
+                                 result.timings.mine_seconds +
+                                 result.timings.finalize_seconds;
   TPIIN_COUNTER_ADD("detect.trails", result.num_trails);
   TPIIN_COUNTER_ADD("detect.groups", result.TotalGroups());
   TPIIN_COUNTER_ADD("detect.suspicious_trades",
@@ -280,10 +276,6 @@ Result<DetectionResult> DetectSuspiciousGroups(const Tpiin& net,
 void AddDetectionToReport(const DetectionResult& result, size_t top_k,
                           RunReport* report) {
   const DetectionTimings& t = result.timings;
-  report->AddStage("segment", t.segment_seconds, t.segment_cpu_seconds);
-  report->AddStage("mine", t.mine_seconds, t.mine_cpu_seconds);
-  report->AddStage("finalize", t.finalize_seconds, t.finalize_cpu_seconds);
-  report->set_total_seconds(t.total_seconds);
 
   ReportSection& section = report->Section("detection");
   section.Set("num_subtpiins", result.num_subtpiins);

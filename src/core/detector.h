@@ -107,10 +107,10 @@ struct DetectorOptions {
   RunBudget budget;
 };
 
-/// Wall-clock attribution across Algorithm 1's stages. The wall stages
-/// (segment + mine + finalize) partition the run, so their sum tracks
-/// total_seconds; pattern/match_seconds are *worker* time summed across
-/// threads inside the mine stage and can exceed mine_seconds.
+/// Wall-clock attribution across Algorithm 1's stages: the Stop()
+/// readings of the segment, mine and finalize stage spans, and their
+/// sum. pattern/match_seconds are *worker* time summed across threads
+/// inside the mine stage and can exceed mine_seconds.
 struct DetectionTimings {
   double segment_seconds = 0;
   double mine_seconds = 0;      ///< Parallel per-subTPIIN stage (wall).
@@ -118,9 +118,6 @@ struct DetectionTimings {
   double pattern_seconds = 0;   ///< Summed worker pattern-gen time.
   double match_seconds = 0;     ///< Summed worker matching time.
   double total_seconds = 0;
-  double segment_cpu_seconds = 0;
-  double mine_cpu_seconds = 0;
-  double finalize_cpu_seconds = 0;
 };
 
 /// Per-subTPIIN work profile, kept for report breakdowns (the top-K
@@ -190,8 +187,8 @@ Result<DetectionResult> DetectSuspiciousGroups(
 
 class RunReport;
 
-/// Folds a detection run into `report`: the wall stages (segment, mine,
-/// finalize), a "detection" section of scalar counts, a "segmentation"
+/// Folds a detection run into `report`: a "detection" section of scalar
+/// counts (the stage rows are the run's stage spans), a "segmentation"
 /// section mirroring SegmentStats, and a "slowest_subtpiins" table of
 /// the top-`top_k` subTPIINs by worker seconds.
 void AddDetectionToReport(const DetectionResult& result, size_t top_k,

@@ -4,7 +4,6 @@
 
 #include "common/failpoint.h"
 #include "common/string_util.h"
-#include "common/timer.h"
 #include "fusion/layers.h"
 #include "graph/frozen.h"
 #include "graph/scc.h"
@@ -53,7 +52,6 @@ std::string FusionStats::ToString() const {
 Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
                                 const FusionOptions& options) {
   TPIIN_SPAN("fuse");
-  WallTimer total_timer;
   if (options.validate_dataset) {
     TPIIN_SPAN("validate_dataset");
     TPIIN_FAILPOINT("fusion.validate");
@@ -61,8 +59,6 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
   }
 
   FusionStats stats;
-  FusionTimings timings;
-  StageTimer stage_timer;
   const NodeId num_persons = static_cast<NodeId>(dataset.persons().size());
   const NodeId num_companies =
       static_cast<NodeId>(dataset.companies().size());
@@ -76,7 +72,7 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
   std::vector<double> influence_weight;
   std::unordered_map<NodeId, std::vector<InvestmentArc>> internal_of_component;
   {
-    TPIIN_SPAN("fuse_layers");
+    TraceSpan stage("layers", kStage);
     // G1 (kinship + interlocking) + edge contraction: connected
     // components of the interdependence graph become person syndicates.
     // Repeated pairwise edge contraction (the paper's formulation) and
@@ -134,8 +130,8 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
       influence_weight.push_back(weight);
     }
   }
-  stage_timer.Lap(&timings.layers_seconds, &timings.layers_cpu_seconds);
 
+  TraceSpan assemble_stage("assemble", kStage);
   stats.g1_nodes = num_persons;
   stats.g1_edges = g1.NumArcs();
   stats.person_syndicates = num_person_nodes;
@@ -218,7 +214,7 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
 
   stats.antecedent_nodes = num_person_nodes + num_company_nodes;
   stats.antecedent_arcs = stats.influence_arcs + stats.investment_arcs;
-  stage_timer.Lap(&timings.assemble_seconds, &timings.assemble_cpu_seconds);
+  assemble_stage.Stop();
 
   // --- Trading overlay (G4) mapped through the contraction.
   // Intra-syndicate trades are kept per raw record; AddTradingArc drops a
@@ -227,7 +223,7 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
   stats.trade_records = dataset.trades().size();
   const ArcId arcs_before_overlay = builder.NumArcsSoFar();
   {
-    TPIIN_SPAN("fuse_overlay");
+    TraceSpan stage("overlay", kStage);
     for (const TradeRecord& rec : dataset.trades()) {
       NodeId src = company_node[rec.seller];
       NodeId dst = company_node[rec.buyer];
@@ -240,18 +236,15 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
     }
   }
   stats.trading_arcs = builder.NumArcsSoFar() - arcs_before_overlay;
-  stage_timer.Lap(&timings.overlay_seconds, &timings.overlay_cpu_seconds);
 
   builder.SetEntityMaps(std::move(person_node), std::move(company_node));
   TPIIN_FAILPOINT("fusion.build");
   Result<Tpiin> built = [&]() {
-    TPIIN_SPAN("fuse_build");
+    TraceSpan stage("build", kStage);
     return builder.Build();
   }();
   TPIIN_RETURN_IF_ERROR(built.status());
   Tpiin net = std::move(built).value();
-  stage_timer.Lap(&timings.build_seconds, &timings.build_cpu_seconds);
-  timings.total_seconds = total_timer.ElapsedSeconds();
 
   TPIIN_GAUGE_SET("fusion.nodes", static_cast<int64_t>(net.NumNodes()));
   TPIIN_GAUGE_SET("fusion.arcs",
@@ -263,17 +256,10 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
                   static_cast<int64_t>(stats.company_syndicates));
   TPIIN_GAUGE_SET("fusion.trading_arcs",
                   static_cast<int64_t>(stats.trading_arcs));
-  return FusionOutput{std::move(net), stats, timings};
+  return FusionOutput{std::move(net), stats};
 }
 
 void AddFusionToReport(const FusionOutput& output, RunReport* report) {
-  const FusionTimings& t = output.timings;
-  report->AddStage("layers", t.layers_seconds, t.layers_cpu_seconds);
-  report->AddStage("assemble", t.assemble_seconds, t.assemble_cpu_seconds);
-  report->AddStage("overlay", t.overlay_seconds, t.overlay_cpu_seconds);
-  report->AddStage("build", t.build_seconds, t.build_cpu_seconds);
-  report->set_total_seconds(t.total_seconds);
-
   const FusionStats& stats = output.stats;
   ReportSection& section = report->Section("fusion");
   section.Set("g1_nodes", stats.g1_nodes);

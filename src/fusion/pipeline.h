@@ -59,26 +59,10 @@ struct FusionStats {
   std::string ToString() const;
 };
 
-/// Wall/CPU seconds per fusion stage. The stages partition BuildTpiin,
-/// so layers + assemble + overlay + build ~= total (the remainder is
-/// validation and stats bookkeeping).
-struct FusionTimings {
-  double layers_seconds = 0;    ///< Stage A: layer builds + contractions.
-  double assemble_seconds = 0;  ///< Stage B: nodes + antecedent arcs.
-  double overlay_seconds = 0;   ///< Trading overlay (G4).
-  double build_seconds = 0;     ///< Final validate + CSR freeze.
-  double total_seconds = 0;
-  double layers_cpu_seconds = 0;
-  double assemble_cpu_seconds = 0;
-  double overlay_cpu_seconds = 0;
-  double build_cpu_seconds = 0;
-};
-
 /// Result of fusion: the TPIIN plus its build statistics.
 struct FusionOutput {
   Tpiin tpiin;
   FusionStats stats;
-  FusionTimings timings;
 };
 
 /// Runs the full multi-network fusion of §4.1 (Fig. 5):
@@ -89,8 +73,9 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
 
 class RunReport;
 
-/// Folds a fusion run into `report`: per-stage wall/CPU rows, a
-/// "fusion" section mirroring FusionStats, and network-shape gauges.
+/// Folds a fusion run into `report`: a "fusion" section mirroring
+/// FusionStats and a "network" shape section. The stage rows are
+/// BuildTpiin's stage spans: layers, assemble, overlay, build.
 void AddFusionToReport(const FusionOutput& output, RunReport* report);
 
 }  // namespace tpiin

@@ -183,6 +183,10 @@ Result<Tpiin> TpiinBuilder::Build() {
   // screening) reads the CSR view.
   net_.frozen_ = FrozenGraph(arcs_, kArcInfluence);
   arcs_ = ArcList{};
+  // The builder is consumed: free its arc-key index (a node per arc)
+  // inside the fusion `build` stage, not in the builder's destructor.
+  seen_arc_keys_ = decltype(seen_arc_keys_)();
+  staged_investments_ = decltype(staged_investments_)();
 
   // Property 1 rests on the antecedent network being a DAG.
   if (!IsDag(net_.frozen_, FrozenArcClass::kInfluence)) {

@@ -1,34 +1,10 @@
 #include "obs/report.h"
 
-#include <unistd.h>
-
 #include <cstdio>
 
 #include "common/string_util.h"  // Header-only AppendJsonEscaped.
-#include "obs/rss.h"
 
 namespace tpiin {
-
-namespace {
-
-// obs sits below common in the dependency graph, so it cannot use
-// AtomicFile; this is the same temp-write + rename(2) discipline inlined.
-bool WriteWholeFileAtomic(const std::string& path,
-                          const std::string& data) {
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool wrote =
-      std::fwrite(data.data(), 1, data.size(), f) == data.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed || std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 std::string ReportValueToJson(const ReportValue& value) {
   char buf[64];
@@ -66,14 +42,14 @@ void ReportSection::SetValue(const std::string& key, ReportValue value) {
   items_.emplace_back(key, std::move(value));
 }
 
-void RunReport::AddStage(const std::string& name, double seconds,
-                         double cpu_seconds) {
-  stages_.push_back(Stage{name, seconds, cpu_seconds, SampleRssGauges()});
+void RunReport::SetStagesFrom(const TraceRecorder& recorder) {
+  stages_ = recorder.StageRows();
+  total_seconds_ = recorder.ElapsedSeconds();
 }
 
 double RunReport::StageSecondsSum() const {
   double sum = 0;
-  for (const Stage& stage : stages_) sum += stage.seconds;
+  for (const TraceRecorder::SpanEvent& stage : stages_) sum += stage.seconds;
   return sum;
 }
 
@@ -105,7 +81,7 @@ std::string RunReport::ToJson() const {
 
   out += "  \"stages\": [";
   for (size_t i = 0; i < stages_.size(); ++i) {
-    const Stage& stage = stages_[i];
+    const TraceRecorder::SpanEvent& stage = stages_[i];
     if (i > 0) out += ',';
     out += "\n    {\"name\": \"";
     AppendJsonEscaped(stage.name, &out);

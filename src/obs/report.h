@@ -8,7 +8,6 @@
 #include <variant>
 #include <vector>
 
-#include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -117,9 +116,9 @@ class ReportTable {
 };
 
 /// The machine-readable record of one pipeline run: wall/CPU-attributed
-/// stages, per-layer stat sections (fusion, segmentation, detection),
-/// breakdown tables and a metrics snapshot, serialized as one JSON
-/// document. Producers: the CLI (`fuse --report=`, `detect --report=`)
+/// stages (a TraceRecorder's stage spans), per-layer stat sections
+/// (fusion, segmentation, detection), breakdown tables and a metrics
+/// snapshot, serialized as one JSON document. Producers: the CLI (`fuse --report=`, `detect --report=`)
 /// and every bench harness (`--report=`); consumer:
 /// tools/bench_compare's report-diff mode and anything downstream that
 /// can read JSON.
@@ -131,22 +130,13 @@ class RunReport {
   void set_total_seconds(double seconds) { total_seconds_ = seconds; }
   double total_seconds() const { return total_seconds_; }
 
-  /// Appends a stage timing row (wall seconds, plus the coordinating
-  /// thread's CPU seconds when measured). Each stage also samples the
-  /// process peak RSS (obs/rss.h) at the moment it is recorded, so a
-  /// report shows *where* in the pipeline the memory high-water mark was
-  /// reached — the out-of-core shard path is gated on this.
-  void AddStage(const std::string& name, double seconds,
-                double cpu_seconds = 0);
+  /// Takes recorder.StageRows() as the stage rows (wall and CPU seconds,
+  /// and the peak RSS at each close: *where* memory peaked) and the
+  /// recorder's elapsed time as total_seconds.
+  void SetStagesFrom(const TraceRecorder& recorder);
 
-  /// Peak RSS (bytes) sampled when the most recent stage was added;
-  /// 0 before any stage. Test/introspection accessor.
-  int64_t LastStagePeakRssBytes() const {
-    return stages_.empty() ? 0 : stages_.back().peak_rss_bytes;
-  }
-
-  /// Sum of stage wall seconds; the CLI report's stages are measured so
-  /// this lands within a few percent of total_seconds().
+  /// Sum of stage wall seconds; the CLI's stage rows cover at least 95%
+  /// of total_seconds() (tests/cli/stage_coverage_test.cc).
   double StageSecondsSum() const;
 
   /// Create-or-get an ordered section.
@@ -166,50 +156,14 @@ class RunReport {
   bool WriteJson(const std::string& path) const;
 
  private:
-  struct Stage {
-    std::string name;
-    double seconds = 0;
-    double cpu_seconds = 0;
-    int64_t peak_rss_bytes = 0;
-  };
-
   std::string tool_;
   uint32_t threads_ = 0;
   double total_seconds_ = 0;
-  std::vector<Stage> stages_;
+  std::vector<TraceRecorder::SpanEvent> stages_;
   std::vector<std::pair<std::string, ReportSection>> sections_;
   std::vector<std::pair<std::string, ReportTable>> tables_;
   MetricsSnapshot metrics_;
   bool has_metrics_ = false;
-};
-
-/// Wall + process-CPU stopwatch for pipeline stages, so a stage row
-/// never carries a placeholder CPU figure.
-class StageTimer {
- public:
-  StageTimer() : cpu_start_(ProcessCpuSeconds()) {}
-
-  /// Stores the wall and process-CPU seconds since construction or the
-  /// previous Lap, then restarts.
-  void Lap(double* wall_seconds, double* cpu_seconds) {
-    const double cpu_now = ProcessCpuSeconds();
-    *wall_seconds = wall_.ElapsedSeconds();
-    *cpu_seconds = cpu_now - cpu_start_;
-    wall_.Restart();
-    cpu_start_ = cpu_now;
-  }
-
-  /// Lap recorded as stage `name` of `report` (skipped when null).
-  void Lap(RunReport* report, const std::string& name) {
-    double wall = 0;
-    double cpu = 0;
-    Lap(&wall, &cpu);
-    if (report != nullptr) report->AddStage(name, wall, cpu);
-  }
-
- private:
-  WallTimer wall_;
-  double cpu_start_;
 };
 
 }  // namespace tpiin

@@ -20,9 +20,9 @@ int64_t CurrentRssBytes();
 
 /// Samples both sizes into the global MetricsRegistry:
 /// `process.peak_rss_bytes` (a running-max gauge) and
-/// `process.current_rss_bytes`. Called at stage boundaries
-/// (RunReport::AddStage) so memory-boundedness is observable in every
-/// run report, not just claimed. Returns the peak in bytes.
+/// `process.current_rss_bytes`. Every stage span samples it at close
+/// while a recorder is installed, so memory-boundedness is observable
+/// in every run report, not just claimed. Returns the peak in bytes.
 int64_t SampleRssGauges();
 
 }  // namespace tpiin

@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <ctime>
 
+#include "obs/rss.h"
+
 namespace tpiin {
 
 double ThreadCpuSeconds() {
@@ -26,6 +28,20 @@ double ProcessCpuSeconds() {
 #else
   return 0;
 #endif
+}
+
+bool WriteWholeFileAtomic(const std::string& path, std::string_view data) {
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  std::FILE* f = std::fopen(tmp.c_str(), "w");
+  if (f == nullptr) return false;
+  const bool wrote =
+      std::fwrite(data.data(), 1, data.size(), f) == data.size();
+  const bool closed = std::fclose(f) == 0;
+  if (!wrote || !closed || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return false;
+  }
+  return true;
 }
 
 std::atomic<TraceRecorder*> TraceRecorder::current_{nullptr};
@@ -60,6 +76,7 @@ TraceRecorder::~TraceRecorder() {
 }
 
 void TraceRecorder::Install() {
+  installer_tid_ = LocalBuffer()->tid;
   current_.store(this, std::memory_order_relaxed);
 }
 
@@ -67,9 +84,15 @@ void TraceRecorder::Uninstall() {
   current_.store(nullptr, std::memory_order_relaxed);
 }
 
-int64_t TraceRecorder::NowMicros() const {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch_)
+int64_t TraceRecorder::MicrosAt(
+    std::chrono::steady_clock::time_point t) const {
+  return std::chrono::duration_cast<std::chrono::microseconds>(t - epoch_)
+      .count();
+}
+
+double TraceRecorder::ElapsedSeconds() const {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       epoch_)
       .count();
 }
 
@@ -96,13 +119,17 @@ TraceRecorder::ThreadBuffer* TraceRecorder::LocalBuffer() {
   return raw;
 }
 
-uint32_t TraceRecorder::BeginSpan() { return LocalBuffer()->next_seq++; }
-
-void TraceRecorder::RecordSpan(const char* name, int64_t ts_us,
-                               int64_t dur_us, uint32_t start_seq) {
+uint32_t TraceRecorder::BeginSpan(uint32_t* stage_depth) {
   ThreadBuffer* buffer = LocalBuffer();
-  buffer->events.push_back(
-      SpanEvent{name, ts_us, dur_us, buffer->tid, start_seq});
+  if (stage_depth != nullptr) *stage_depth = buffer->open_stages++;
+  return buffer->next_seq++;
+}
+
+void TraceRecorder::RecordSpan(SpanEvent event) {
+  ThreadBuffer* buffer = LocalBuffer();
+  if (event.stage) --buffer->open_stages;
+  event.tid = buffer->tid;
+  buffer->events.push_back(event);
 }
 
 size_t TraceRecorder::NumEvents() const {
@@ -138,6 +165,18 @@ std::vector<TraceRecorder::SpanEvent> TraceRecorder::MergedEvents() const {
   return merged;
 }
 
+std::vector<TraceRecorder::SpanEvent> TraceRecorder::StageRows() const {
+  std::vector<SpanEvent> rows;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (installer_tid_ >= buffers_.size()) return rows;
+  // Outermost stages of one thread never overlap, so their close order
+  // (the buffer's) is their start order.
+  for (const SpanEvent& event : buffers_[installer_tid_]->events) {
+    if (event.stage && event.stage_depth == 0) rows.push_back(event);
+  }
+  return rows;
+}
+
 std::string TraceRecorder::ToChromeTraceJson() const {
   const std::vector<SpanEvent> events = MergedEvents();
   uint32_t max_tid = 0;
@@ -147,13 +186,14 @@ std::string TraceRecorder::ToChromeTraceJson() const {
 
   std::string out = "{\"traceEvents\":[\n";
   char line[256];
-  // Thread-name metadata rows; tid 0 is always the installing thread.
+  // Thread-name metadata rows: "main" is the installing thread, which
+  // need not be the first to record (serve's connection threads are).
   const uint32_t num_tids = events.empty() ? 0 : max_tid + 1;
   for (uint32_t tid = 0; tid < num_tids; ++tid) {
     std::snprintf(line, sizeof(line),
                   "{\"ph\":\"M\",\"pid\":1,\"tid\":%u,\"name\":"
                   "\"thread_name\",\"args\":{\"name\":\"%s%u\"}},\n",
-                  tid, tid == 0 ? "main" : "worker", tid);
+                  tid, tid == installer_tid_ ? "main" : "worker", tid);
     out += line;
   }
   for (size_t i = 0; i < events.size(); ++i) {
@@ -171,20 +211,37 @@ std::string TraceRecorder::ToChromeTraceJson() const {
 }
 
 bool TraceRecorder::WriteChromeTrace(const std::string& path) const {
-  // obs sits below common in the dependency graph, so it cannot use
-  // AtomicFile; inline the same temp-write + rename(2) discipline.
-  const std::string json = ToChromeTraceJson();
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool wrote =
-      std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed || std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
+  return WriteWholeFileAtomic(path, ToChromeTraceJson());
+}
+
+TraceSpan::TraceSpan(const char* name, StageTag)
+    : recorder_(TraceRecorder::Current()),
+      start_(std::chrono::steady_clock::now()) {
+  event_.name = name;
+  event_.stage = true;
+  if (recorder_ != nullptr) {
+    event_.seq = recorder_->BeginSpan(&event_.stage_depth);
+    cpu_start_ = ProcessCpuSeconds();
   }
-  return true;
+}
+
+double TraceSpan::Stop() {
+  if (!event_.stage || stopped_) return event_.seconds;
+  stopped_ = true;
+  if (recorder_ != nullptr) {
+    // Sampled before the closing clock read, so their cost stays inside
+    // the stage instead of falling between two stage rows.
+    event_.peak_rss_bytes = SampleRssGauges();
+    event_.cpu_seconds = ProcessCpuSeconds() - cpu_start_;
+  }
+  const auto end = std::chrono::steady_clock::now();
+  event_.seconds = std::chrono::duration<double>(end - start_).count();
+  if (recorder_ != nullptr) {
+    event_.ts_us = recorder_->MicrosAt(start_);
+    event_.dur_us = recorder_->MicrosAt(end) - event_.ts_us;
+    recorder_->RecordSpan(event_);
+  }
+  return event_.seconds;
 }
 
 }  // namespace tpiin

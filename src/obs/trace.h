@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -14,7 +15,7 @@
 /// -DTPIIN_OBS_ENABLED=0 compiles every TPIIN_SPAN / TPIIN_COUNTER_*
 /// site down to nothing; the default build keeps them in, guarded by a
 /// single relaxed atomic load per site (nullptr recorder / registered
-/// handle), so a run without --trace-out pays no measurable cost.
+/// handle), so a process without a recorder pays no measurable cost.
 #ifndef TPIIN_OBS_ENABLED
 #define TPIIN_OBS_ENABLED 1
 #endif
@@ -22,14 +23,18 @@
 namespace tpiin {
 
 /// CPU time consumed by the calling thread, in seconds (0 where the
-/// platform offers no thread clock). Stage instrumentation records it
-/// next to wall time so a report can separate "slow" from "starved".
+/// platform offers no thread clock).
 double ThreadCpuSeconds();
 
 /// CPU time consumed by the whole process (all threads), in seconds.
-/// Stage drivers sample it before/after a parallel stage so reports can
-/// show aggregate CPU next to wall time.
+/// A stage span samples it at open and close, so a report shows
+/// aggregate CPU next to wall time.
 double ProcessCpuSeconds();
+
+/// Writes `data` to `path` via `<path>.tmp.<pid>` + rename(2), so no
+/// reader sees a torn file; false on I/O failure. obs sits below common
+/// in the link graph, so this stands in for AtomicFile.
+bool WriteWholeFileAtomic(const std::string& path, std::string_view data);
 
 /// Collects nested start/duration span events from any number of
 /// threads into per-thread buffers and merges them into a
@@ -37,10 +42,11 @@ double ProcessCpuSeconds();
 /// chrome://tracing or Perfetto.
 ///
 /// Usage: construct, Install(), run the pipeline, Uninstall(), then
-/// WriteChromeTrace(). While installed, every TPIIN_SPAN in the process
-/// records into this recorder. Recording is lock-free after a thread's
-/// first span (one vector push_back per span); Install/Uninstall and
-/// the merge accessors take a mutex and must not run concurrently with
+/// WriteChromeTrace(). While installed, every TPIIN_SPAN and stage span
+/// in the process records into this recorder. Recording is lock-free
+/// after a thread's first span (one vector push_back per span);
+/// Install/Uninstall and the merge accessors take a mutex and must not
+/// run concurrently with
 /// active spans — uninstall after the instrumented calls return, which
 /// the blocking pipeline entry points guarantee.
 ///
@@ -59,6 +65,11 @@ class TraceRecorder {
     int64_t dur_us = 0;
     uint32_t tid = 0;  // Dense per-recorder thread index.
     uint32_t seq = 0;  // Start order within the thread (see BeginSpan).
+    bool stage = false;          // The fields below: stage spans only.
+    uint32_t stage_depth = 0;    // Stages already open on the thread.
+    double seconds = 0;          // Wall, at the clock's own resolution.
+    double cpu_seconds = 0;      // Process CPU across the stage.
+    int64_t peak_rss_bytes = 0;  // Process peak RSS at close.
   };
 
   TraceRecorder();
@@ -67,8 +78,9 @@ class TraceRecorder {
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  /// Makes this recorder the process-wide span sink. The recorder must
-  /// outlive every span started while it is installed.
+  /// Makes this recorder the process-wide span sink and the calling
+  /// thread its installing thread ("main" in the trace; see StageRows).
+  /// The recorder must outlive every span started while it is installed.
   void Install();
 
   /// Clears the process-wide recorder (spans become no-ops again).
@@ -80,19 +92,23 @@ class TraceRecorder {
     return current_.load(std::memory_order_relaxed);
   }
 
-  /// Microseconds since recorder construction (steady clock).
-  int64_t NowMicros() const;
+  /// Microseconds from recorder construction to `t` (steady clock).
+  int64_t MicrosAt(std::chrono::steady_clock::time_point t) const;
+
+  /// Seconds since recorder construction.
+  double ElapsedSeconds() const;
 
   /// Allocates the calling thread's next span start index. TraceSpan
   /// calls this at construction, so the indices order same-thread spans
   /// by program order (parent before child, siblings in start order)
   /// even when their microsecond timestamps tie — destruction order
-  /// cannot distinguish those two cases.
-  uint32_t BeginSpan();
+  /// cannot distinguish those two cases. A stage passes `stage_depth`
+  /// to get the number of stages open on its thread; it is open itself
+  /// until recorded.
+  uint32_t BeginSpan(uint32_t* stage_depth = nullptr);
 
-  /// Appends a completed span to the calling thread's buffer.
-  void RecordSpan(const char* name, int64_t ts_us, int64_t dur_us,
-                  uint32_t start_seq);
+  /// Appends a completed span (tid set here) to the thread's buffer.
+  void RecordSpan(SpanEvent event);
 
   /// Spans recorded so far, across all threads.
   size_t NumEvents() const;
@@ -101,6 +117,10 @@ class TraceRecorder {
   /// parent span always precedes its children and same-thread order is
   /// reproducible run to run regardless of clock resolution.
   std::vector<SpanEvent> MergedEvents() const;
+
+  /// The stage rows of a run report: the outermost stage events recorded
+  /// on the installing thread, in start order.
+  std::vector<SpanEvent> StageRows() const;
 
   /// Chrome trace_event JSON ("traceEvents" array of "X" complete
   /// events plus thread-name metadata).
@@ -113,7 +133,8 @@ class TraceRecorder {
   struct ThreadBuffer {
     std::thread::id owner;
     uint32_t tid = 0;
-    uint32_t next_seq = 0;  // Next BeginSpan start index.
+    uint32_t next_seq = 0;     // Next BeginSpan start index.
+    uint32_t open_stages = 0;  // Stage spans open on the thread.
     std::vector<SpanEvent> events;
   };
 
@@ -125,37 +146,58 @@ class TraceRecorder {
   const std::chrono::steady_clock::time_point epoch_;
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
+  uint32_t installer_tid_ = UINT32_MAX;  // Set by Install().
 };
+
+/// Selects TraceSpan's stage form: `TraceSpan stage("mine", kStage);`.
+struct StageTag {};
+inline constexpr StageTag kStage{};
 
 /// RAII span: records [construction, destruction) into the installed
 /// TraceRecorder, or does nothing when none is installed. `name` must
 /// have static storage duration (string literals).
+///
+/// The stage form, `TraceSpan(name, kStage)`, is the one stage timer:
+/// it always reads the wall clock, so Stop() returns its seconds with or
+/// without a recorder. While one is installed it also records the
+/// process CPU seconds across the stage, the peak RSS at close, and how
+/// many stages were already open on its thread (see StageRows).
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* name)
-      : recorder_(TraceRecorder::Current()), name_(name) {
+  explicit TraceSpan(const char* name) : recorder_(TraceRecorder::Current()) {
+    event_.name = name;
     if (recorder_ != nullptr) {
-      start_us_ = recorder_->NowMicros();
-      start_seq_ = recorder_->BeginSpan();
+      event_.ts_us = recorder_->MicrosAt(std::chrono::steady_clock::now());
+      event_.seq = recorder_->BeginSpan();
     }
   }
 
+  TraceSpan(const char* name, StageTag);
+
   ~TraceSpan() {
-    if (recorder_ != nullptr) {
-      recorder_->RecordSpan(name_, start_us_,
-                            recorder_->NowMicros() - start_us_,
-                            start_seq_);
+    if (event_.stage) {
+      Stop();
+    } else if (recorder_ != nullptr) {
+      event_.dur_us =
+          recorder_->MicrosAt(std::chrono::steady_clock::now()) - event_.ts_us;
+      recorder_->RecordSpan(event_);
     }
   }
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
+  /// Stage form: closes the stage now instead of at scope exit and
+  /// returns its wall seconds; later calls return the same figure. A
+  /// plain span returns 0 and still closes at scope exit.
+  double Stop();
+
  private:
   TraceRecorder* recorder_;
-  const char* name_;
-  int64_t start_us_ = 0;
-  uint32_t start_seq_ = 0;
+  TraceRecorder::SpanEvent event_;
+  bool stopped_ = false;  // This and below: stage form only.
+  double cpu_start_ = 0;
+  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace tpiin

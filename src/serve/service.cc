@@ -46,6 +46,14 @@ void FillDetectTimings(const DetectionTimings& timings,
 
 }  // namespace
 
+const ScoringResult& DetectionBundle::Scoring(const Tpiin& net) const {
+  std::call_once(scoring_once_, [&] {
+    scoring_ = ScoreDetection(net, detection);
+    scoring_computed_.store(true, std::memory_order_release);
+  });
+  return scoring_;
+}
+
 const DetectionBundle::GroupsExport& DetectionBundle::Export(
     const Tpiin& net, uint32_t num_threads) const {
   std::call_once(export_once_, [&] {
@@ -191,8 +199,11 @@ Result<std::shared_ptr<const DetectionBundle>> QueryService::GetBundle(
     status = detection.status();
   } else {
     bundle = std::make_shared<DetectionBundle>();
-    bundle->scoring = ScoreDetection(net_, *detection);
     bundle->detection = std::move(*detection);
+    // The default-budget bundle answers every plain `explain`, so it is
+    // scored here, off the drill path; a what-if bundle (request caps)
+    // scores only if an `explain` asks.
+    if (key == BundleKey(options_.default_budget)) bundle->Scoring(net_);
     // A deadline-truncated run reflects this machine's clock, not the
     // data; serving it once (marked degraded) is honest, caching it
     // would pin the degradation. A retired generation likewise answers
@@ -300,7 +311,7 @@ Response QueryService::HandleExplain(const Request& request,
       GetBundle(EffectiveBudget(request), telemetry);
   if (!bundle.ok()) return ErrorResponse(request, bundle.status());
   CompanyDossier dossier = BuildCompanyDossier(
-      net_, (*bundle)->detection, (*bundle)->scoring, *company);
+      net_, (*bundle)->detection, (*bundle)->Scoring(net_), *company);
   return PayloadResponse(request, FormatCompanyDossier(net_, dossier),
                          (*bundle)->detection.degraded);
 }

@@ -36,8 +36,8 @@ struct ServiceOptions {
   /// caching entirely (the byte-identity tests' cold configuration).
   size_t cache_entries = 256;
 
-  /// Capacity of the detection-bundle cache (full detection + scoring
-  /// per distinct (snapshot CRC, structural caps) key). Bundles are
+  /// Capacity of the detection-bundle cache (full detection per
+  /// distinct (snapshot CRC, structural caps) key). Bundles are
   /// what `groups` and `explain` read; distinct budgets are distinct
   /// entries.
   size_t bundle_cache_entries = 4;
@@ -70,12 +70,21 @@ struct RequestTelemetry {
   double finalize_seconds = 0;
 };
 
-/// A full detection run and its scoring — the shared substrate of the
-/// `groups` and `explain` verbs, computed once per (snapshot CRC,
-/// structural caps) and cached.
+/// A full detection run — the shared substrate of the `groups` and
+/// `explain` verbs, computed once per (snapshot CRC, structural caps)
+/// and cached.
 struct DetectionBundle {
   DetectionResult detection;
-  ScoringResult scoring;
+
+  /// The detection's scoring, computed once on first use (std::call_once):
+  /// only `explain` reads it, so a what-if `groups` never scores. The
+  /// default-budget bundle is scored when it is built (GetBundle).
+  const ScoringResult& Scoring(const Tpiin& net) const;
+
+  /// Whether Scoring has run yet (introspection for tests).
+  bool scoring_computed() const {
+    return scoring_computed_.load(std::memory_order_acquire);
+  }
 
   /// The full susGroup.txt bytes and their JSON-escaped wire form.
   struct GroupsExport {
@@ -100,6 +109,9 @@ struct DetectionBundle {
   }
 
  private:
+  mutable std::once_flag scoring_once_;
+  mutable ScoringResult scoring_;
+  mutable std::atomic<bool> scoring_computed_{false};
   mutable std::once_flag export_once_;
   mutable GroupsExport export_;
   mutable std::atomic<bool> export_rendered_{false};

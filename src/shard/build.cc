@@ -13,7 +13,6 @@
 #include "fusion/pipeline.h"
 #include "io/dataset_csv.h"
 #include "obs/report.h"
-#include "obs/rss.h"
 #include "shard/gids.h"
 #include "shard/plan.h"
 #include "snapshot/snapshot.h"
@@ -155,11 +154,12 @@ Result<ShardManifest> BuildShards(const std::string& data_dir,
   if (ec) return Status::IOError(out_dir + ": cannot create directory");
 
   // --- Pass 1: plan.
-  StageTimer timer;
+  TraceSpan plan_stage("shard_plan", kStage);
   ShardPlanOptions plan_options;
   plan_options.num_shards = options.num_shards;
   TPIIN_ASSIGN_OR_RETURN(ShardPlan plan, PlanShards(data_dir, plan_options));
-  timer.Lap(report, "shard_plan");
+  plan_stage.Stop();
+  TraceSpan route_stage("shard_route", kStage);
 
   ShardManifest manifest;
   manifest.num_shards = options.num_shards;
@@ -278,7 +278,8 @@ Result<ShardManifest> BuildShards(const std::string& data_dir,
   }
   TPIIN_RETURN_IF_ERROR(router.FlushAll());
   TPIIN_RETURN_IF_ERROR(flush_cross());
-  timer.Lap(report, "shard_route");
+  route_stage.Stop();
+  TraceSpan fuse_stage("shard_fuse", kStage);
 
   // --- Pass 3: load, fuse, snapshot one shard at a time. Peak RSS from
   // here on is the largest single shard, which is the point.
@@ -329,7 +330,6 @@ Result<ShardManifest> BuildShards(const std::string& data_dir,
     for (uint32_t lc = 0; lc < gids.size(); ++lc) {
       company_rep[gids[lc]] = gids[node_min[net.NodeOfCompany(lc)]];
     }
-    SampleRssGauges();
   }
 
   // --- Cross-trade dedup at node granularity.
@@ -362,7 +362,7 @@ Result<ShardManifest> BuildShards(const std::string& data_dir,
   if (!options.keep_spill) {
     std::filesystem::remove_all(out_dir + "/spill", ec);
   }
-  timer.Lap(report, "shard_fuse");
+  fuse_stage.Stop();
   if (report != nullptr) {
     ReportSection& section = report->Section("shard");
     section.Set("num_shards", static_cast<int64_t>(manifest.num_shards));

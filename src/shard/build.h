@@ -42,8 +42,8 @@ struct ShardBuildOptions {
 ///                          the commit point (crash mid-build leaves
 ///                          finished shards valid and no manifest).
 ///
-/// `report`, when non-null, receives plan/route/fuse stages and a
-/// "shard" section.
+/// The passes are the stage spans shard_plan, shard_route and
+/// shard_fuse; `report`, when non-null, receives a "shard" section.
 Result<ShardManifest> BuildShards(const std::string& data_dir,
                                   const std::string& out_dir,
                                   const ShardBuildOptions& options,

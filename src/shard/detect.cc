@@ -13,7 +13,6 @@
 #include "common/failpoint.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "common/timer.h"
 #include "core/scoring.h"
 #include "obs/report.h"
 #include "shard/gids.h"
@@ -256,7 +255,7 @@ Result<CanonicalReport> ParseShardResult(const std::string& contents,
 Result<ShardDetectStats> DetectShards(const std::string& dir,
                                       const ShardDetectOptions& options,
                                       RunReport* report) {
-  StageTimer timer;
+  TraceSpan stage("shard_detect", kStage);
   TPIIN_ASSIGN_OR_RETURN(ShardManifest manifest,
                          ReadShardManifest(dir + "/" + kShardManifestName));
   std::vector<uint32_t> live;
@@ -282,7 +281,7 @@ Result<ShardDetectStats> DetectShards(const std::string& dir,
   Status status = ThreadPool::Global().ParallelForChecked(
       live.size(), shard_parallel, [&](size_t i) -> Status {
         TPIIN_FAILPOINT("shard.detect");
-        WallTimer shard_timer;
+        TraceSpan shard_stage("detect_shard", kStage);
         const uint32_t s = live[i];
         const std::string snapshot_path =
             dir + "/" + ExpandShardPath(manifest.path_template, s);
@@ -309,7 +308,7 @@ Result<ShardDetectStats> DetectShards(const std::string& dir,
             WriteFileAtomic(ShardResultPath(dir, manifest, s),
                             SerializeShardResult(s, canonical)));
         outcomes[i] =
-            Outcome{detection.TotalGroups(), shard_timer.ElapsedSeconds(),
+            Outcome{detection.TotalGroups(), shard_stage.Stop(),
                     detection.degraded, detection.truncated};
         return Status::OK();
       });
@@ -322,7 +321,7 @@ Result<ShardDetectStats> DetectShards(const std::string& dir,
     stats.degraded = stats.degraded || o.degraded;
     stats.truncated = stats.truncated || o.truncated;
   }
-  timer.Lap(report, "shard_detect");
+  stage.Stop();
   if (report != nullptr) {
     ReportSection& section = report->Section("shard_detect");
     section.Set("shards", static_cast<int64_t>(stats.shards_detected));

@@ -31,7 +31,7 @@ Result<ShardMergeStats> MergeShards(const std::string& dir,
                                     const std::string& out_path,
                                     RunReport* report) {
   TPIIN_FAILPOINT("shard.merge");
-  StageTimer timer;
+  TraceSpan stage("shard_merge", kStage);
   TPIIN_ASSIGN_OR_RETURN(ShardManifest manifest,
                          ReadShardManifest(dir + "/" + kShardManifestName));
 
@@ -83,7 +83,7 @@ Result<ShardMergeStats> MergeShards(const std::string& dir,
   ShardMergeStats stats;
   stats.shards_merged = shards_merged;
   stats.summary = merged.summary;
-  timer.Lap(report, "shard_merge");
+  stage.Stop();
   if (report != nullptr) {
     ReportSection& section = report->Section("shard_merge");
     section.Set("shards", static_cast<int64_t>(shards_merged));

@@ -148,6 +148,111 @@ TEST(TraceTest, ChromeTraceJsonParsesAndNests) {
             events[1].ts_us + events[1].dur_us);
 }
 
+// Thread-name metadata names the installing thread "main", even when
+// another thread records first (serve installs in Server::Start and its
+// first spans come from connection threads).
+TEST(TraceTest, MainNamesTheInstallerWhenAWorkerRecordsFirst) {
+  TraceRecorder recorder;
+  recorder.Install();
+  std::thread worker([] { TPIIN_SPAN("worker_span"); });
+  worker.join();
+  { TPIIN_SPAN("main_span"); }
+  TraceRecorder::Uninstall();
+
+  uint32_t main_tid = UINT32_MAX;
+  uint32_t worker_tid = UINT32_MAX;
+  for (const TraceRecorder::SpanEvent& event : recorder.MergedEvents()) {
+    if (std::string(event.name) == "main_span") main_tid = event.tid;
+    if (std::string(event.name) == "worker_span") worker_tid = event.tid;
+  }
+  ASSERT_NE(main_tid, UINT32_MAX);
+  ASSERT_NE(worker_tid, UINT32_MAX);
+  ASSERT_NE(main_tid, worker_tid);
+  const std::string json = recorder.ToChromeTraceJson();
+  const auto name_of = [&](uint32_t tid) {
+    const std::string key = "\"tid\":" + std::to_string(tid) +
+                            ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
+    const size_t at = json.find(key);
+    if (at == std::string::npos) return std::string();
+    const size_t begin = at + key.size();
+    return json.substr(begin, json.find('"', begin) - begin);
+  };
+  EXPECT_EQ(name_of(main_tid), "main" + std::to_string(main_tid)) << json;
+  EXPECT_EQ(name_of(worker_tid), "worker" + std::to_string(worker_tid))
+      << json;
+}
+
+// Busy work, so a stage's wall and CPU clocks both advance.
+void Spin() {
+  volatile uint64_t sink = 0;
+  for (uint64_t i = 0; i < (1u << 16); ++i) sink = sink + i;
+}
+
+// The report rows are the stages that no other stage encloses, recorded
+// on the installing thread, in start order: a stage nested in a stage
+// is not a row, one inside a plain span is, and a worker's is not.
+TEST(TraceTest, StageRowsAreOutermostStagesOfTheInstaller) {
+  TraceRecorder recorder;
+  recorder.Install();
+  {
+    TraceSpan a("a", kStage);
+    TraceSpan nested("nested", kStage);
+    TPIIN_SPAN("plain_in_stage");
+    TraceSpan deeper("deeper", kStage);
+  }
+  {
+    TPIIN_SPAN("plain");
+    TraceSpan b("b", kStage);
+    Spin();
+  }
+  std::thread worker([] { TraceSpan w("w", kStage); });
+  worker.join();
+  { TraceSpan c("c", kStage); }
+  TraceRecorder::Uninstall();
+
+  std::vector<std::string> rows;
+  for (const TraceRecorder::SpanEvent& row : recorder.StageRows()) {
+    EXPECT_TRUE(row.stage);
+    EXPECT_EQ(row.stage_depth, 0u);
+    rows.push_back(row.name);
+  }
+  EXPECT_EQ(rows, (std::vector<std::string>{"a", "b", "c"}));
+  // Every span is still a trace event.
+  EXPECT_EQ(recorder.NumEvents(), 8u);
+}
+
+// A stage times itself with no recorder installed; Stop() closes it
+// once, and the destructor neither re-times nor re-records it.
+TEST(TraceTest, StageStopReadsTheWallClockOnce) {
+  ASSERT_EQ(TraceRecorder::Current(), nullptr);
+  {
+    TraceSpan stage("unrecorded", kStage);
+    Spin();
+    const double seconds = stage.Stop();
+    EXPECT_GT(seconds, 0.0);
+    Spin();
+    EXPECT_EQ(stage.Stop(), seconds);
+  }
+  TraceRecorder recorder;
+  recorder.Install();
+  double seconds = 0;
+  {
+    TraceSpan stage("recorded", kStage);
+    Spin();
+    seconds = stage.Stop();
+    Spin();
+  }
+  TraceRecorder::Uninstall();
+  const std::vector<TraceRecorder::SpanEvent> events =
+      recorder.MergedEvents();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].seconds, seconds);
+  EXPECT_GT(events[0].cpu_seconds, 0.0);
+  EXPECT_GT(events[0].peak_rss_bytes, 0);
+  // The microsecond trace figures come from the same two clock reads.
+  EXPECT_LE(events[0].dur_us, static_cast<int64_t>(seconds * 1e6) + 1);
+}
+
 TEST(TraceTest, ThreadCpuClocksAreMonotonic) {
   const double thread_before = ThreadCpuSeconds();
   const double process_before = ProcessCpuSeconds();

@@ -407,6 +407,38 @@ TEST_F(ServiceTest, WhatIfCompanyQueryLeavesTheExportUnrendered) {
   EXPECT_EQ(*exported.escaped_payload, JsonEscape(exported.payload));
 }
 
+TEST_F(ServiceTest, WhatIfGroupsLeavesTheScoringUncomputed) {
+  OpenProvinceSnapshot();
+  std::unique_ptr<QueryService> service = MakeService(1, true);
+  const std::string company = AnyCompanyLabel();
+
+  // The default-budget bundle, which plain `explain`s read, is scored
+  // when it is built, so no drill request pays for the scoring.
+  ASSERT_EQ(service->Handle(MakeRequest("groups", company)).status, "ok");
+  std::shared_ptr<const DetectionBundle> plain =
+      service->PeekBundle(MakeRequest("groups"));
+  ASSERT_NE(plain, nullptr);
+  EXPECT_TRUE(plain->scoring_computed());
+
+  // A what-if `groups` builds a fresh bundle; only `explain` scores.
+  Request whatif = MakeRequest("groups", company);
+  whatif.max_sub_nodes = 1 << 20;
+  ASSERT_EQ(service->Handle(whatif).status, "ok");
+  std::shared_ptr<const DetectionBundle> bundle = service->PeekBundle(whatif);
+  ASSERT_NE(bundle, nullptr);
+  EXPECT_FALSE(bundle->scoring_computed());
+
+  // The first `explain` on that key scores it, and answers exactly as
+  // the batch `tpiin explain` does.
+  Request explain = MakeRequest("explain", company);
+  explain.max_sub_nodes = whatif.max_sub_nodes;
+  Response answer = service->Handle(explain);
+  ASSERT_EQ(answer.status, "ok") << answer.error;
+  EXPECT_EQ(service->PeekBundle(explain), bundle);
+  EXPECT_TRUE(bundle->scoring_computed());
+  EXPECT_EQ(answer.payload, BatchExplain(company));
+}
+
 TEST_F(ServiceTest, ConcurrentFirstFullGroupsRenderTheExportOnce) {
   OpenProvinceSnapshot();
   std::unique_ptr<QueryService> service = MakeService(0, true);
