@@ -1,52 +1,95 @@
 #include "common/csv.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cstring>
 
 #include "common/failpoint.h"
 #include "common/string_util.h"
 
 namespace tpiin {
 
-Result<std::vector<std::string>> ParseCsvLine(std::string_view line) {
-  std::vector<std::string> fields;
-  std::string cur;
-  bool in_quotes = false;
+namespace {
+
+// Splits one line into fields, honoring RFC 4180 quoting. Fields view
+// `line`, except a quoted field with "" escapes or bytes after its
+// closing quote ("a"b reads as ab): that one is unescaped into
+// `*scratch`, which is reserved to the line's size first so earlier
+// views into it stay put.
+Status SplitCsvFields(std::string_view line,
+                      std::vector<std::string_view>* fields,
+                      std::string* scratch) {
+  fields->clear();
+  scratch->clear();
+  const size_t n = line.size();
+  // End (comma or end of line) of the unquoted run starting at `from`,
+  // or npos if the run holds a quote.
+  auto unquoted_end = [&](size_t from) {
+    for (; from < n && line[from] != ','; ++from) {
+      if (line[from] == '"') return std::string_view::npos;
+    }
+    return from;
+  };
   size_t i = 0;
-  while (i < line.size()) {
-    char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cur += '"';
-          i += 2;
-        } else {
-          in_quotes = false;
-          ++i;
+  while (true) {
+    size_t end;
+    if (i < n && line[i] == '"') {
+      // Quoted: the field runs to the first quote that is not doubled,
+      // then on to the next comma unquoted.
+      const size_t open = i + 1;
+      size_t close = open;
+      bool escaped = false;
+      while (true) {
+        const void* quote =
+            std::memchr(line.data() + close, '"', n - close);
+        if (quote == nullptr) {
+          return Status::Corruption("unterminated CSV quote");
         }
+        close = static_cast<const char*>(quote) - line.data();
+        if (close + 1 >= n || line[close + 1] != '"') break;
+        escaped = true;
+        close += 2;
+      }
+      end = unquoted_end(close + 1);
+      if (end == std::string_view::npos) {
+        return Status::Corruption("quote inside unquoted CSV field");
+      }
+      if (!escaped && end == close + 1) {
+        fields->push_back(line.substr(open, close - open));
       } else {
-        cur += c;
-        ++i;
+        if (scratch->capacity() < n) scratch->reserve(n);
+        const size_t from = scratch->size();
+        for (size_t k = open; k < close; ++k) {
+          scratch->push_back(line[k]);
+          if (line[k] == '"') ++k;  // The second quote of a "" pair.
+        }
+        scratch->append(line.data() + close + 1, end - close - 1);
+        fields->push_back(std::string_view(*scratch).substr(from));
       }
     } else {
-      if (c == '"') {
-        if (!cur.empty()) {
-          return Status::Corruption("quote inside unquoted CSV field");
-        }
-        in_quotes = true;
-        ++i;
-      } else if (c == ',') {
-        fields.push_back(std::move(cur));
-        cur.clear();
-        ++i;
-      } else {
-        cur += c;
-        ++i;
+      end = unquoted_end(i);
+      if (end == std::string_view::npos) {
+        return Status::Corruption("quote inside unquoted CSV field");
       }
+      fields->push_back(line.substr(i, end - i));
     }
+    if (end == n) return Status::OK();
+    i = end + 1;  // Past the comma; a trailing comma adds an empty field.
   }
-  if (in_quotes) return Status::Corruption("unterminated CSV quote");
-  fields.push_back(std::move(cur));
-  return fields;
+}
+
+}  // namespace
+
+Result<std::vector<std::string>> ParseCsvLine(std::string_view line) {
+  std::vector<std::string_view> views;
+  std::string scratch;
+  TPIIN_RETURN_IF_ERROR(SplitCsvFields(line, &views, &scratch));
+  return std::vector<std::string>(views.begin(), views.end());
 }
 
 std::string EscapeCsvField(std::string_view field) {
@@ -91,31 +134,29 @@ CsvWriter::~CsvWriter() {
 
 Result<std::vector<std::vector<std::string>>> ReadCsvFile(
     const std::string& path, const std::vector<std::string>& expect_header) {
-  TPIIN_FAILPOINT("io.csv.open");
-  std::ifstream in(path);
-  if (!in.good()) return Status::IOError("cannot open " + path);
+  CsvFileReader reader(path);
+  TPIIN_RETURN_IF_ERROR(reader.status());
   std::vector<std::vector<std::string>> rows;
-  std::string line;
   bool saw_header = expect_header.empty();
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (Trim(line).empty()) continue;
-    TPIIN_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                           ParseCsvLine(line));
+  CsvRow row;
+  while (reader.Next(&row)) {
+    TPIIN_RETURN_IF_ERROR(row.parse);
     if (!saw_header) {
-      if (fields != expect_header) {
+      if (!std::equal(row.fields.begin(), row.fields.end(),
+                      expect_header.begin(), expect_header.end())) {
         return Status::Corruption("unexpected CSV header in " + path);
       }
       saw_header = true;
       continue;
     }
-    rows.push_back(std::move(fields));
+    rows.emplace_back(row.fields.begin(), row.fields.end());
   }
+  TPIIN_RETURN_IF_ERROR(reader.status());
   return rows;
 }
 
-CsvFileReader::CsvFileReader(const std::string& path)
-    : in_(path), path_(path) {
+CsvFileReader::CsvFileReader(const std::string& path, size_t block_bytes)
+    : path_(path) {
 #if defined(TPIIN_FAILPOINTS_COMPILED)
   if (Failpoints::AnyActive()) {
     Status injected = Failpoints::Check("io.csv.open");
@@ -125,39 +166,105 @@ CsvFileReader::CsvFileReader(const std::string& path)
     }
   }
 #endif
-  if (!in_.good()) status_ = Status::IOError("cannot open " + path_);
+  fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  struct stat st;
+  if (fd_ < 0 || ::fstat(fd_, &st) != 0 || S_ISDIR(st.st_mode)) {
+    status_ = Status::IOError("cannot open " + path_);
+    return;
+  }
+  // A small file gets a buffer of exactly its size and is read in one
+  // go, so its last line ends where the allocation does and a sanitizer
+  // sees any read past it.
+  capacity_ = std::max<size_t>(block_bytes, 1);
+  if (S_ISREG(st.st_mode)) {
+    unread_ = static_cast<size_t>(st.st_size);
+    eof_ = unread_ == 0;
+    capacity_ = std::clamp<size_t>(unread_, 1, capacity_);
+  }
+  buffer_.reset(new char[capacity_]);
+}
+
+CsvFileReader::~CsvFileReader() {
+  if (fd_ >= 0) ::close(fd_);
 }
 
 Status CsvFileReader::ExpectHeader(const std::vector<std::string>& header) {
   TPIIN_RETURN_IF_ERROR(status_);
   CsvRow row;
   if (!Next(&row)) {
+    TPIIN_RETURN_IF_ERROR(status_);
     return Status::Corruption(path_ + ": missing header");
   }
   TPIIN_RETURN_IF_ERROR(row.parse);
-  if (row.fields != header) {
+  if (!std::equal(row.fields.begin(), row.fields.end(), header.begin(),
+                  header.end())) {
     return Status::Corruption("unexpected CSV header in " + path_);
   }
   return Status::OK();
 }
 
+void CsvFileReader::Refill() {
+  const size_t tail = end_ - begin_;
+  if (tail == capacity_) {
+    // One line fills the whole buffer: grow it.
+    const size_t grown = capacity_ * 2;
+    std::unique_ptr<char[]> bigger(new char[grown]);
+    std::memcpy(bigger.get(), buffer_.get() + begin_, tail);
+    buffer_ = std::move(bigger);
+    capacity_ = grown;
+  } else if (begin_ != 0) {
+    std::memmove(buffer_.get(), buffer_.get() + begin_, tail);
+  }
+  begin_ = 0;
+  end_ = tail;
+  ssize_t got;
+  do {
+    got = ::read(fd_, buffer_.get() + end_, capacity_ - end_);
+  } while (got < 0 && errno == EINTR);
+  if (got < 0) {
+    // Drop the partial line rather than hand it out as a row.
+    status_ = Status::IOError("cannot read " + path_);
+    begin_ = end_ = 0;
+    eof_ = true;
+  } else {
+    end_ += static_cast<size_t>(got);
+    unread_ -= std::min(unread_, static_cast<size_t>(got));
+    eof_ = got == 0 || unread_ == 0;
+  }
+}
+
+bool CsvFileReader::NextLine(std::string_view* line) {
+  while (true) {
+    const char* base = buffer_.get();
+    const void* newline =
+        std::memchr(base + begin_, '\n', end_ - begin_);
+    if (newline != nullptr) {
+      const size_t at = static_cast<const char*>(newline) - base;
+      *line = std::string_view(base + begin_, at - begin_);
+      begin_ = at + 1;
+      return true;
+    }
+    if (eof_) {
+      if (begin_ == end_) return false;
+      *line = std::string_view(base + begin_, end_ - begin_);
+      begin_ = end_;
+      return true;
+    }
+    Refill();
+  }
+}
+
 bool CsvFileReader::Next(CsvRow* row) {
   if (!status_.ok()) return false;
-  std::string line;
-  while (std::getline(in_, line)) {
+  std::string_view line;
+  while (NextLine(&line)) {
     ++line_number_;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (Trim(line).empty()) continue;
     row->line_number = line_number_;
     row->raw = line;
-    Result<std::vector<std::string>> fields = ParseCsvLine(line);
-    if (fields.ok()) {
-      row->fields = std::move(*fields);
-      row->parse = Status::OK();
-    } else {
-      row->fields.clear();
-      row->parse = fields.status();
-    }
+    row->parse = SplitCsvFields(line, &row->fields, &scratch_);
+    if (!row->parse.ok()) row->fields.clear();
     return true;
   }
   return false;

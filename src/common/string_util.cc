@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -76,17 +77,20 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
 Result<int64_t> ParseInt64(std::string_view s) {
   s = Trim(s);
   if (s.empty()) return Status::InvalidArgument("empty integer literal");
-  std::string buf(s);
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(buf.c_str(), &end, 10);
-  if (errno == ERANGE) {
-    return Status::OutOfRange("integer out of range: " + buf);
+  // strtoll's grammar: an optional sign, then digits. from_chars takes
+  // no '+', so step over one that a digit follows.
+  const char* first = s.data();
+  const char* last = s.data() + s.size();
+  if (*first == '+' && s.size() > 1 && first[1] != '-') ++first;
+  int64_t v = 0;
+  const std::from_chars_result parsed = std::from_chars(first, last, v);
+  if (parsed.ec == std::errc::result_out_of_range) {
+    return Status::OutOfRange("integer out of range: " + std::string(s));
   }
-  if (end != buf.c_str() + buf.size()) {
-    return Status::InvalidArgument("not an integer: " + buf);
+  if (parsed.ec != std::errc() || parsed.ptr != last) {
+    return Status::InvalidArgument("not an integer: " + std::string(s));
   }
-  return static_cast<int64_t>(v);
+  return v;
 }
 
 Result<double> ParseDouble(std::string_view s) {

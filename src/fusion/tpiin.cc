@@ -67,14 +67,49 @@ NodeId TpiinBuilder::AddCompanyNode(std::string_view label,
   return id;
 }
 
-ArcId TpiinBuilder::LookupOrInsertArcKey(NodeId src, NodeId dst,
-                                         ArcColor color) {
+namespace {
+
+// Packs an arc's (src, dst, color) and mixes it with splitmix64's
+// finalizer, so every key bit reaches the low bits the table masks with.
+uint64_t ArcKeyHash(NodeId src, NodeId dst, ArcColor color) {
   uint64_t key = (static_cast<uint64_t>(src) << 33) |
                  (static_cast<uint64_t>(dst) << 1) |
                  static_cast<uint64_t>(color & 1);
-  ArcId next_id = arcs_.NumArcs();
-  auto [it, inserted] = seen_arc_keys_.emplace(key, next_id);
-  return inserted ? kInvalidArc : it->second;
+  key = (key ^ (key >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  key = (key ^ (key >> 27)) * 0x94d049bb133111ebULL;
+  return key ^ (key >> 31);
+}
+
+}  // namespace
+
+void TpiinBuilder::GrowArcKeys() {
+  arc_keys_.assign(std::max<size_t>(16, arc_keys_.size() * 2), kInvalidArc);
+  const size_t mask = arc_keys_.size() - 1;
+  for (ArcId id = 0; id < arcs_.NumArcs(); ++id) {
+    const Arc& arc = arcs_.arcs[id];
+    size_t i = ArcKeyHash(arc.src, arc.dst, arc.color) & mask;
+    while (arc_keys_[i] != kInvalidArc) i = (i + 1) & mask;
+    arc_keys_[i] = id;
+  }
+}
+
+ArcId TpiinBuilder::LookupOrInsertArcKey(NodeId src, NodeId dst,
+                                         ArcColor color) {
+  // Every slot in use holds one arc, so the arc count is the load.
+  const ArcId next_id = arcs_.NumArcs();
+  if ((static_cast<size_t>(next_id) + 1) * 4 > arc_keys_.size() * 3) {
+    GrowArcKeys();
+  }
+  const size_t mask = arc_keys_.size() - 1;
+  for (size_t i = ArcKeyHash(src, dst, color) & mask;; i = (i + 1) & mask) {
+    const ArcId id = arc_keys_[i];
+    if (id == kInvalidArc) {
+      arc_keys_[i] = next_id;
+      return kInvalidArc;
+    }
+    const Arc& arc = arcs_.arcs[id];
+    if (arc.src == src && arc.dst == dst && arc.color == color) return id;
+  }
 }
 
 bool TpiinBuilder::EndpointsExist(NodeId src, NodeId dst, ArcColor color) {
@@ -183,9 +218,9 @@ Result<Tpiin> TpiinBuilder::Build() {
   // screening) reads the CSR view.
   net_.frozen_ = FrozenGraph(arcs_, kArcInfluence);
   arcs_ = ArcList{};
-  // The builder is consumed: free its arc-key index (a node per arc)
-  // inside the fusion `build` stage, not in the builder's destructor.
-  seen_arc_keys_ = decltype(seen_arc_keys_)();
+  // The builder is consumed: free its arc-key table inside the fusion
+  // `build` stage, not in the builder's destructor.
+  arc_keys_ = decltype(arc_keys_)();
   staged_investments_ = decltype(staged_investments_)();
 
   // Property 1 rests on the antecedent network being a DAG.

@@ -6,7 +6,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -260,6 +259,9 @@ class TpiinBuilder {
   /// kInvalidArc after registering it as new.
   ArcId LookupOrInsertArcKey(NodeId src, NodeId dst, ArcColor color);
 
+  /// Doubles the arc-key table and reinserts every arc.
+  void GrowArcKeys();
+
   /// True when both endpoints are existing nodes; otherwise remembers
   /// the first offending arc for Build() to report.
   bool EndpointsExist(NodeId src, NodeId dst, ArcColor color);
@@ -281,7 +283,12 @@ class TpiinBuilder {
   /// Internal investments arrive per syndicate node in arbitrary order;
   /// Build() flattens them into the CSR columns.
   std::vector<std::vector<InvestmentArc>> staged_investments_;
-  std::unordered_map<uint64_t, ArcId> seen_arc_keys_;
+  /// The arc dedup index: an open-addressing table of arc ids hashed by
+  /// (src, dst, color), compared through `arcs_` (power-of-two slots,
+  /// linear probing, rebuilt at twice the size past 3/4 load;
+  /// kInvalidArc marks an empty slot). Build() frees it in one
+  /// deallocation.
+  std::vector<ArcId> arc_keys_;
   bool saw_trading_arc_ = false;
   bool failed_ordering_ = false;
 };

@@ -103,7 +103,7 @@ namespace {
 Status LoadTable(
     const std::string& path, const std::vector<std::string>& header,
     size_t max_field_bytes, IngestSink& sink,
-    const std::function<Status(const std::vector<std::string>&,
+    const std::function<Status(const std::vector<std::string_view>&,
                                const char**)>& handler) {
   CsvFileReader reader(path);
   TPIIN_RETURN_IF_ERROR(reader.status());
@@ -120,7 +120,7 @@ Status LoadTable(
                          row.fields.size()));
       }
       if (max_field_bytes != 0) {
-        for (const std::string& field : row.fields) {
+        for (std::string_view field : row.fields) {
           if (field.size() > max_field_bytes) {
             error_class = ingest_error::kOversizedField;
             return Status::Corruption(
@@ -138,7 +138,7 @@ Status LoadTable(
     }
     sink.CountLoaded();
   }
-  return Status::OK();
+  return reader.status();
 }
 
 // File-id -> dense-id map for one entity table. Ids come from the id
@@ -146,30 +146,30 @@ Status LoadTable(
 // silently shifting every later reference.
 using IdMap = std::unordered_map<int64_t, uint32_t>;
 
-Result<int64_t> ParseFileId(const std::string& field,
+Result<int64_t> ParseFileId(std::string_view field,
                             const char** error_class) {
   Result<int64_t> value = ParseInt64(field);
   if (!value.ok() || *value < 0) {
     *error_class = ingest_error::kBadNumber;
-    return Status::Corruption("bad id: " + field);
+    return Status::Corruption("bad id: " + std::string(field));
   }
   return value;
 }
 
-Result<uint32_t> ResolveRef(const IdMap& ids, const std::string& field,
+Result<uint32_t> ResolveRef(const IdMap& ids, std::string_view field,
                             const char* what, const char** error_class) {
   Result<int64_t> raw = ParseInt64(field);
   if (!raw.ok()) {
     *error_class = ingest_error::kBadNumber;
     return Status::Corruption(StringPrintf("bad %s id: %s", what,
-                                           field.c_str()));
+                                           std::string(field).c_str()));
   }
   auto it = ids.find(*raw);
   if (it == ids.end()) {
     *error_class = ingest_error::kDanglingRef;
     return Status::Corruption(
         StringPrintf("%s id %s does not refer to a loaded row", what,
-                     field.c_str()));
+                     std::string(field).c_str()));
   }
   return it->second;
 }
@@ -191,12 +191,13 @@ Result<RawDataset> LoadDatasetCsv(const std::string& directory,
   TPIIN_RETURN_IF_ERROR(LoadTable(
       PathOf(directory, "persons.csv"), kPersonsHeader,
       options.max_field_bytes, sink,
-      [&](const std::vector<std::string>& row,
+      [&](const std::vector<std::string_view>& row,
           const char** cls) -> Status {
         TPIIN_ASSIGN_OR_RETURN(int64_t id, ParseFileId(row[0], cls));
         if (person_ids.count(id) != 0) {
           *cls = ingest_error::kDuplicateId;
-          return Status::Corruption("duplicate person id " + row[0]);
+          return Status::Corruption(
+              "duplicate person id " + std::string(row[0]));
         }
         if (!IsValidUtf8(row[1])) {
           *cls = ingest_error::kBadUtf8;
@@ -205,14 +206,14 @@ Result<RawDataset> LoadDatasetCsv(const std::string& directory,
         Result<int64_t> roles = ParseInt64(row[2]);
         if (!roles.ok()) {
           *cls = ingest_error::kBadNumber;
-          return Status::Corruption("bad roles mask " + row[2]);
+          return Status::Corruption("bad roles mask " + std::string(row[2]));
         }
         if (*roles < 0 || *roles > kAllRoleBits) {
           *cls = ingest_error::kBadEnum;
-          return Status::Corruption("bad roles mask " + row[2]);
+          return Status::Corruption("bad roles mask " + std::string(row[2]));
         }
         person_ids.emplace(
-            id, dataset.AddPerson(row[1],
+            id, dataset.AddPerson(std::string(row[1]),
                                   static_cast<PersonRoles>(*roles)));
         return Status::OK();
       }));
@@ -220,25 +221,26 @@ Result<RawDataset> LoadDatasetCsv(const std::string& directory,
   TPIIN_RETURN_IF_ERROR(LoadTable(
       PathOf(directory, "companies.csv"), kCompaniesHeader,
       options.max_field_bytes, sink,
-      [&](const std::vector<std::string>& row,
+      [&](const std::vector<std::string_view>& row,
           const char** cls) -> Status {
         TPIIN_ASSIGN_OR_RETURN(int64_t id, ParseFileId(row[0], cls));
         if (company_ids.count(id) != 0) {
           *cls = ingest_error::kDuplicateId;
-          return Status::Corruption("duplicate company id " + row[0]);
+          return Status::Corruption(
+              "duplicate company id " + std::string(row[0]));
         }
         if (!IsValidUtf8(row[1])) {
           *cls = ingest_error::kBadUtf8;
           return Status::Corruption("company name is not valid UTF-8");
         }
-        company_ids.emplace(id, dataset.AddCompany(row[1]));
+        company_ids.emplace(id, dataset.AddCompany(std::string(row[1])));
         return Status::OK();
       }));
 
   TPIIN_RETURN_IF_ERROR(LoadTable(
       PathOf(directory, "interdependence.csv"), kInterdependenceHeader,
       options.max_field_bytes, sink,
-      [&](const std::vector<std::string>& row,
+      [&](const std::vector<std::string_view>& row,
           const char** cls) -> Status {
         TPIIN_ASSIGN_OR_RETURN(uint32_t a,
                                ResolveRef(person_ids, row[0], "person",
@@ -253,7 +255,8 @@ Result<RawDataset> LoadDatasetCsv(const std::string& directory,
           kind = InterdependenceKind::kInterlocking;
         } else {
           *cls = ingest_error::kBadEnum;
-          return Status::Corruption("bad interdependence kind " + row[2]);
+          return Status::Corruption(
+              "bad interdependence kind " + std::string(row[2]));
         }
         dataset.AddInterdependence(a, b, kind);
         return Status::OK();
@@ -262,7 +265,7 @@ Result<RawDataset> LoadDatasetCsv(const std::string& directory,
   TPIIN_RETURN_IF_ERROR(LoadTable(
       PathOf(directory, "influence.csv"), kInfluenceHeader,
       options.max_field_bytes, sink,
-      [&](const std::vector<std::string>& row,
+      [&](const std::vector<std::string_view>& row,
           const char** cls) -> Status {
         TPIIN_ASSIGN_OR_RETURN(uint32_t person,
                                ResolveRef(person_ids, row[0], "person",
@@ -273,15 +276,18 @@ Result<RawDataset> LoadDatasetCsv(const std::string& directory,
         Result<int64_t> kind = ParseInt64(row[2]);
         if (!kind.ok()) {
           *cls = ingest_error::kBadNumber;
-          return Status::Corruption("bad influence kind " + row[2]);
+          return Status::Corruption(
+              "bad influence kind " + std::string(row[2]));
         }
         if (*kind < 0 || *kind > 3) {
           *cls = ingest_error::kBadEnum;
-          return Status::Corruption("bad influence kind " + row[2]);
+          return Status::Corruption(
+              "bad influence kind " + std::string(row[2]));
         }
         if (row[3] != "0" && row[3] != "1") {
           *cls = ingest_error::kBadEnum;
-          return Status::Corruption("bad legal_person flag " + row[3]);
+          return Status::Corruption(
+              "bad legal_person flag " + std::string(row[3]));
         }
         dataset.AddInfluence(person, company,
                              static_cast<InfluenceKind>(*kind),
@@ -292,7 +298,7 @@ Result<RawDataset> LoadDatasetCsv(const std::string& directory,
   TPIIN_RETURN_IF_ERROR(LoadTable(
       PathOf(directory, "investment.csv"), kInvestmentHeader,
       options.max_field_bytes, sink,
-      [&](const std::vector<std::string>& row,
+      [&](const std::vector<std::string_view>& row,
           const char** cls) -> Status {
         TPIIN_ASSIGN_OR_RETURN(uint32_t investor,
                                ResolveRef(company_ids, row[0], "company",
@@ -303,7 +309,7 @@ Result<RawDataset> LoadDatasetCsv(const std::string& directory,
         Result<double> share = ParseDouble(row[2]);
         if (!share.ok()) {
           *cls = ingest_error::kBadNumber;
-          return Status::Corruption("bad share " + row[2]);
+          return Status::Corruption("bad share " + std::string(row[2]));
         }
         dataset.AddInvestment(investor, investee, *share);
         return Status::OK();
@@ -312,7 +318,7 @@ Result<RawDataset> LoadDatasetCsv(const std::string& directory,
   TPIIN_RETURN_IF_ERROR(LoadTable(
       PathOf(directory, "trades.csv"), kTradesHeader,
       options.max_field_bytes, sink,
-      [&](const std::vector<std::string>& row,
+      [&](const std::vector<std::string_view>& row,
           const char** cls) -> Status {
         TPIIN_ASSIGN_OR_RETURN(uint32_t seller,
                                ResolveRef(company_ids, row[0], "company",

@@ -1,5 +1,6 @@
 #include "io/edge_list.h"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -9,27 +10,64 @@
 
 namespace tpiin {
 
+namespace {
+
+// Edge-list rows are appended to one reused buffer that goes to the
+// stream in blocks of about this many bytes.
+constexpr size_t kEdgeListFlushBytes = size_t{1} << 16;
+
+template <typename Number, typename... Format>
+void AppendNumber(std::string* out, Number value, Format... format) {
+  char digits[32];
+  const std::to_chars_result end =
+      std::to_chars(digits, digits + sizeof(digits), value, format...);
+  out->append(digits, static_cast<size_t>(end.ptr - digits));
+}
+
+}  // namespace
+
 Status WriteTpiinEdgeList(const std::string& path, const Tpiin& net) {
   TPIIN_FAILPOINT("io.edge_list.write");
   AtomicFile file(path);
   if (!file.ok()) return Status::IOError("cannot open " + path);
   std::ostream& out = file.stream();
+  std::string block;
+  block.reserve(kEdgeListFlushBytes * 2);
+  auto end_row = [&]() {
+    block += '\n';
+    if (block.size() >= kEdgeListFlushBytes) {
+      out.write(block.data(), static_cast<std::streamsize>(block.size()));
+      block.clear();
+    }
+  };
 
-  out << "tpiin-edge-list v2\n";
-  out << "nodes " << net.NumNodes() << "\n";
+  block += "tpiin-edge-list v2\nnodes ";
+  AppendNumber(&block, net.NumNodes());
+  end_row();
   for (NodeId v = 0; v < net.NumNodes(); ++v) {
-    const TpiinNode& node = net.node(v);
-    out << v << ' '
-        << (node.color == NodeColor::kPerson ? 'P' : 'C') << ' '
-        << node.label << "\n";
+    AppendNumber(&block, v);
+    block += net.color(v) == NodeColor::kPerson ? " P " : " C ";
+    block += net.Label(v);
+    end_row();
   }
-  out << "arcs " << net.NumArcs() << ' '
-      << (net.num_influence_arcs() + 1) << "\n";
+  block += "arcs ";
+  AppendNumber(&block, net.NumArcs());
+  block += ' ';
+  AppendNumber(&block, net.num_influence_arcs() + 1);
+  end_row();
   for (ArcId id = 0; id < net.NumArcs(); ++id) {
     const Arc arc = net.arc(id);
-    out << arc.src << ' ' << arc.dst << ' ' << arc.color << ' '
-        << StringPrintf("%.17g", net.ArcWeight(id)) << "\n";
+    AppendNumber(&block, arc.src);
+    block += ' ';
+    AppendNumber(&block, arc.dst);
+    block += ' ';
+    AppendNumber(&block, arc.color);
+    block += ' ';
+    // General format at 17 significant digits is printf("%.17g").
+    AppendNumber(&block, net.ArcWeight(id), std::chars_format::general, 17);
+    end_row();
   }
+  out.write(block.data(), static_cast<std::streamsize>(block.size()));
   return file.Commit();
 }
 

@@ -97,6 +97,7 @@ Result<Ledger> LoadLedgerCsv(const std::string& directory,
       }
       sink.CountLoaded();
     }
+    TPIIN_RETURN_IF_ERROR(reader.status());
   }
 
   {
@@ -130,7 +131,8 @@ Result<Ledger> LoadLedgerCsv(const std::string& directory,
             *category >=
                 static_cast<int64_t>(ledger.market.num_categories())) {
           error_class = ingest_error::kDanglingRef;
-          return Status::Corruption("bad category " + row.fields[3]);
+          return Status::Corruption("bad category " +
+                                    std::string(row.fields[3]));
         }
         if (row.fields[6] != "0" && row.fields[6] != "1") {
           error_class = ingest_error::kBadEnum;
@@ -157,6 +159,7 @@ Result<Ledger> LoadLedgerCsv(const std::string& directory,
       }
       sink.CountLoaded();
     }
+    TPIIN_RETURN_IF_ERROR(reader.status());
     ledger.num_relations = relations.size();
   }
 

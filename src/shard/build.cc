@@ -68,7 +68,7 @@ class SpillRouter {
     return Status::OK();
   }
 
-  Status Append(uint32_t shard, size_t table, const std::string& raw) {
+  Status Append(uint32_t shard, size_t table, std::string_view raw) {
     std::string& buffer = buffers_[shard * kNumTables + table];
     buffer += raw;
     buffer += '\n';
@@ -126,16 +126,17 @@ Status ScanRows(const std::string& path, size_t num_columns,
     }
     TPIIN_RETURN_IF_ERROR(handler(row));
   }
-  return Status::OK();
+  return reader.status();
 }
 
-Result<uint32_t> DenseOf(const ShardIdIndex& index, const std::string& field,
+Result<uint32_t> DenseOf(const ShardIdIndex& index, std::string_view field,
                          const std::string& path, size_t line) {
   Result<int64_t> raw = ParseInt64(field);
   int64_t dense = raw.ok() ? index.Lookup(*raw) : -1;
   if (dense < 0) {
-    return Status::Corruption(StringPrintf(
-        "%s:%zu: unresolvable id %s", path.c_str(), line, field.c_str()));
+    return Status::Corruption(
+        StringPrintf("%s:%zu: unresolvable id %s", path.c_str(), line,
+                     std::string(field).c_str()));
   }
   return static_cast<uint32_t>(dense);
 }

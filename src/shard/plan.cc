@@ -38,14 +38,14 @@ Status ScanTable(const std::string& path,
     }
     TPIIN_RETURN_IF_ERROR(handler(row));
   }
-  return Status::OK();
+  return reader.status();
 }
 
-Result<int64_t> ParseId(const std::string& field, const std::string& path,
+Result<int64_t> ParseId(std::string_view field, const std::string& path,
                         size_t line) {
   Result<int64_t> value = ParseInt64(field);
   if (!value.ok() || *value < 0) {
-    return RowError(path, line, "bad id: " + field);
+    return RowError(path, line, "bad id: " + std::string(field));
   }
   return value;
 }
@@ -122,17 +122,19 @@ Result<ShardPlan> PlanShards(const std::string& data_dir,
   std::vector<uint32_t> entity_rows(num_entities, 0);
   const uint32_t person_count = static_cast<uint32_t>(plan.num_persons);
 
-  auto resolve = [&](const ShardIdIndex& index, const std::string& field,
+  auto resolve = [&](const ShardIdIndex& index, std::string_view field,
                      const char* what, const std::string& path,
                      size_t line) -> Result<uint32_t> {
     Result<int64_t> raw = ParseInt64(field);
-    if (!raw.ok()) return RowError(path, line, "bad id: " + field);
+    if (!raw.ok()) {
+      return RowError(path, line, "bad id: " + std::string(field));
+    }
     int64_t dense = index.Lookup(*raw);
     if (dense < 0) {
       return RowError(
           path, line,
           StringPrintf("%s id %s does not refer to a loaded row", what,
-                       field.c_str()));
+                       std::string(field).c_str()));
     }
     return static_cast<uint32_t>(dense);
   };

@@ -1,6 +1,11 @@
 #include "common/string_util.h"
 
+#include <cerrno>
+#include <cstdlib>
+
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
 
 namespace tpiin {
 namespace {
@@ -53,6 +58,52 @@ TEST(ParseInt64Test, InvalidInputs) {
   EXPECT_TRUE(ParseInt64("1.5").status().IsInvalidArgument());
   EXPECT_TRUE(
       ParseInt64("99999999999999999999999").status().IsOutOfRange());
+}
+
+// ParseInt64 is from_chars-based; it must accept and reject exactly
+// what strtoll over the trimmed text did, with the same messages.
+Result<int64_t> StrtollReference(std::string_view s) {
+  s = Trim(s);
+  if (s.empty()) return Status::InvalidArgument("empty integer literal");
+  std::string buf(s);
+  errno = 0;
+  char* end = nullptr;
+  long long v = std::strtoll(buf.c_str(), &end, 10);
+  if (errno == ERANGE) {
+    return Status::OutOfRange("integer out of range: " + buf);
+  }
+  if (end != buf.c_str() + buf.size()) {
+    return Status::InvalidArgument("not an integer: " + buf);
+  }
+  return static_cast<int64_t>(v);
+}
+
+TEST(ParseInt64Test, AgreesWithStrtoll) {
+  std::vector<std::string> inputs = {
+      "+5",   "+",     "-",   "+-5", "-+5", "++5", "--5", "+ 5", "- 5",
+      "-0",   "+0",    "007", " 12 ", "1 2", "0x10", "1e3", "\t-3\n",
+      "9223372036854775807", "-9223372036854775808",
+      "9223372036854775808", "-9223372036854775809",
+      "99999999999999999999x", std::string("12\0", 3)};
+  Rng rng(99);
+  const std::string alphabet = "0123456789+- x\t";
+  for (int i = 0; i < 2000; ++i) {
+    std::string s;
+    const int64_t length = rng.UniformInt(0, 22);
+    for (int64_t k = 0; k < length; ++k) {
+      s += alphabet[rng.UniformU64(alphabet.size())];
+    }
+    inputs.push_back(s);
+  }
+  for (const std::string& input : inputs) {
+    Result<int64_t> got = ParseInt64(input);
+    Result<int64_t> want = StrtollReference(input);
+    ASSERT_EQ(got.status().code(), want.status().code()) << "'" << input << "'";
+    EXPECT_EQ(got.status().message(), want.status().message());
+    if (want.ok()) {
+      EXPECT_EQ(*got, *want) << "'" << input << "'";
+    }
+  }
 }
 
 TEST(ParseDoubleTest, ValidAndInvalid) {
